@@ -84,6 +84,24 @@ median(const std::vector<double> &v)
     return pct(v, 0.5);
 }
 
+/**
+ * One set-up sample in seconds: `reps` back-to-back calls of `build`
+ * timed as one unit, divided by `reps`. One construction takes
+ * microseconds, so a single call would time the allocator and the
+ * scheduler, not the set-up. Workloads take samples throughout the
+ * run and report the median, so the samples span the run as the
+ * timed work does, rather than one moment of the host.
+ */
+template <class F>
+double
+setupSample(int reps, F &&build)
+{
+    const Clock::time_point t0 = Clock::now();
+    for (int r = 0; r < reps; ++r)
+        build();
+    return msSince(t0) / 1000.0 / reps;
+}
+
 /** Peak resident set of this process in MB (ru_maxrss). */
 double peakRssMb();
 

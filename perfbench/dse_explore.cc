@@ -40,6 +40,43 @@ sameFrontier(const dse::ParetoArchive &a, const dse::ParetoArchive &b)
     return true;
 }
 
+/**
+ * The sim model alone, as the evaluator calls it for one model eval:
+ * runLayerWithEff over every mapping candidate of each tensor layer,
+ * on every 64th candidate of the space, one span per layer. The
+ * spatial efficiency is computed outside the span (the evaluator
+ * memoizes it). Checks each result against mappingCycles, which
+ * shares the cycle model. Returns the number of calls.
+ */
+std::uint64_t
+simSample(Result &res, const dse::CandidateSpace &space, const Model &m)
+{
+    std::uint64_t calls = 0;
+    bool same = true;
+    std::vector<LayerResult> out;
+    for (std::size_t id = 0; id < space.size(); id += 64) {
+        const HardwareConfig hw = space.decode(id);
+        for (const Layer &l : m.layers) {
+            const std::vector<Mapping> maps = dse::mappingCandidates(hw, l);
+            std::vector<double> eff;
+            for (const Mapping &map : maps)
+                eff.push_back(spatialEfficiency(hw, l, map.dataflow));
+            out.resize(maps.size());
+            {
+                PB_SPAN("sim.run_layer");
+                for (std::size_t i = 0; i < maps.size(); ++i)
+                    out[i] = runLayerWithEff(hw, l, maps[i], eff[i]);
+            }
+            for (std::size_t i = 0; i < maps.size(); ++i)
+                same = same && out[i].cycles ==
+                                   mappingCycles(hw, l, maps[i], eff[i]);
+            calls += maps.size();
+        }
+    }
+    res.check(same, "sim: runLayerWithEff cycles differ from mappingCycles");
+    return calls;
+}
+
 } // namespace
 
 Result
@@ -53,21 +90,22 @@ runDseExplore(const Args &args)
     dse::DseOptions opt;
     opt.threads = threads;
 
+    std::vector<Model> models(std::size(kModels));
+    for (std::size_t i = 0; i < models.size(); ++i)
+        res.check(serve::lookupModel(kModels[i], &models[i]),
+                  "dse: unknown model");
     // Set-up: model + space construction and one engine (its worker
-    // pool), repeated for a steady median.
-    std::vector<double> setupS;
-    std::vector<Model> models;
-    dse::CandidateSpace space;
-    for (int rep = 0; rep < 51; ++rep) {
-        const Clock::time_point t0 = Clock::now();
-        models.assign(std::size(kModels), Model());
-        for (std::size_t i = 0; i < models.size(); ++i)
-            res.check(serve::lookupModel(kModels[i], &models[i]),
-                      "dse: unknown model");
-        space = dse::defaultSpace();
+    // pool), sampled here and after every pass.
+    std::vector<Model> scratch;
+    dse::CandidateSpace space = dse::defaultSpace(), scratchSpace;
+    auto construct = [&] {
+        scratch.assign(std::size(kModels), Model());
+        for (std::size_t i = 0; i < scratch.size(); ++i)
+            serve::lookupModel(kModels[i], &scratch[i]);
+        scratchSpace = dse::defaultSpace();
         dse::DseEngine engine(opt);
-        setupS.push_back(msSince(t0) / 1000.0);
-    }
+    };
+    std::vector<double> setupS = {setupSample(100, construct)};
     std::printf("dse_explore: %zu candidates x %zu models, %d pool "
                 "threads\n",
                 space.size(), models.size(), threads);
@@ -96,8 +134,7 @@ runDseExplore(const Args &args)
     std::size_t candidates = 0;
     std::vector<std::vector<double>> perModel(models.size());
     dse::DseStats sum;  // Counters of the last untraced pass.
-    double evalNs = 0;  // Traced DseEngine::evaluate time ...
-    std::uint64_t evalEvals = 0; // ... and the model evals it made.
+    std::uint64_t simEvals = 0; // runLayerWithEff calls traced.
     SpanStats spans;
     if (args.trace)
         beginTracing();
@@ -142,17 +179,10 @@ runDseExplore(const Args &args)
                 dse::DseEngine single(opt);
                 for (std::size_t id = 0; id < space.size(); id += 8) {
                     const HardwareConfig hw = space.decode(id);
-                    const std::uint64_t e0 =
-                        single.evaluator().counters().modelEvals;
-                    const std::uint64_t t = obs::Tracer::nowNs();
-                    {
-                        PB_SPAN("dse.evaluate");
-                        single.evaluate(hw, models[mi]);
-                    }
-                    evalNs += double(obs::Tracer::nowNs() - t);
-                    evalEvals +=
-                        single.evaluator().counters().modelEvals - e0;
+                    PB_SPAN("dse.evaluate");
+                    single.evaluate(hw, models[mi]);
                 }
+                simEvals += simSample(res, space, models[mi]);
             }
         }
         if (traced) {
@@ -162,6 +192,7 @@ runDseExplore(const Args &args)
             passMs.push_back(pass_ms);
             sum = passStats;
         }
+        setupS.push_back(setupSample(100, construct));
     }
     obs::Tracer::setEnabled(false);
 
@@ -209,7 +240,8 @@ runDseExplore(const Args &args)
     res.set("dse.eval_share",
             evals > 0 ? evals / (evals + double(sum.mappingsPruned)) : 0);
     res.set("sim.ns_per_model_eval",
-            evalEvals ? evalNs / double(evalEvals) : 0.0);
+            simEvals ? spans.get("sim.run_layer").selfNs / double(simEvals)
+                     : 0.0);
     res.set("dse.cache_hit_ratio",
             lookups ? double(sum.l0Hits + sum.cacheHits) / double(lookups)
                     : 0.0);

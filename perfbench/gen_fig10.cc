@@ -248,15 +248,12 @@ runGenFig10(const Args &args)
 {
     Result res;
 
-    // Set-up: design construction (workloads + dataflows), repeated
-    // so the median is steady; the last construction is the one run.
-    std::vector<double> setupS;
-    std::vector<NamedDesign> designs;
-    for (int rep = 0; rep < 51; ++rep) {
-        const Clock::time_point t0 = Clock::now();
-        designs = fig10Designs();
-        setupS.push_back(msSince(t0) / 1000.0);
-    }
+    // Set-up: design construction (workloads + dataflows), sampled
+    // here and after every design of every pass.
+    std::vector<NamedDesign> designs, scratch;
+    auto construct = [&] { scratch = fig10Designs(); };
+    std::vector<double> setupS = {setupSample(50, construct)};
+    designs = fig10Designs();
 
     // Pass 0 (untimed) fixes the reference outputs every later pass,
     // traced or not, must reproduce byte for byte.
@@ -285,7 +282,7 @@ runGenFig10(const Args &args)
         // the difference of their medians is the tracing overhead.
         const bool traced = args.trace && pass % 2 == 0;
         obs::Tracer::setEnabled(traced);
-        const Clock::time_point p0 = Clock::now();
+        double flowMs = 0; // The pass's designs, without checks or set-up.
         for (std::size_t di = 0; di < designs.size(); ++di) {
             const Clock::time_point t0 = Clock::now();
             DesignOut o =
@@ -293,13 +290,15 @@ runGenFig10(const Args &args)
                                          pass, di)
                        : runDesign(res, designs[di], args.seed, pass, di);
             const double ms = msSince(t0);
+            flowMs += ms;
             compare(o, di);
+            setupS.push_back(setupSample(50, construct));
             if (!traced) {
                 designMs.push_back(ms);
                 perDesign[di].push_back(ms);
             }
         }
-        (traced ? tracedPassMs : passMs).push_back(msSince(p0));
+        (traced ? tracedPassMs : passMs).push_back(flowMs);
         if (traced)
             spans.collect();
     }
@@ -395,6 +394,8 @@ runGenFig10(const Args &args)
                 traceOverheadPct);
     res.check(spans.dropped() == 0, "gen: tracer dropped events");
     res.check(tracedPassMs.size() > 0, "gen: no traced pass completed");
+    res.check(rootMs > 0 && covered / rootMs >= 0.95,
+              "gen: layer self times cover less than 95% of design time");
 
     res.set("frontend.generate_ms", perPass("frontend.generate"));
     res.set("frontend.fus", double(fus));

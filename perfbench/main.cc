@@ -4,7 +4,7 @@
  *
  *   lego_perfbench --workload WORKLOAD --seed N --seconds S --trace 0|1
  *
- * WORKLOAD is gen_fig10, dse_explore, serve_batch or serve_open.
+ * WORKLOAD is gen_fig10, dse_explore or serve_batch.
  *
  * Prints a human-readable report, then as its last line one JSON
  * object {"correct", "attempted", "failed", "metrics"}: with
@@ -78,7 +78,7 @@ const MetricDef kPerLayer[] = {
     {"dse.cache.front_hit_ratio", "ratio"},
     {"dse.cache.evictions", "count"},
     {"dse.cache.resident_bytes", "bytes"},
-    // serve_batch and serve_open.
+    // serve_batch.
     {"serve.submit_us_p50", "us"},
     {"serve.parse_us_p50", "us"},
     {"serve.answer_ms_p50", "ms"},
@@ -87,9 +87,6 @@ const MetricDef kPerLayer[] = {
     {"dse.segment_ms_p50", "ms"},
     {"serve.model_evals", "count"},
     {"serve.coalesced_ratio", "ratio"},
-    {"serve.backlog_max", "count"},
-    {"bench.late_ms_p99", "ms"},
-    {"bench.late_sends", "count"},
     // All workloads: traced minus untraced end-to-end time.
     {"bench.trace_overhead_pct", "%"},
 };
@@ -99,7 +96,7 @@ usage(const char *why)
 {
     std::fprintf(stderr,
                  "lego_perfbench: %s\nusage: lego_perfbench --workload "
-                 "gen_fig10|dse_explore|serve_batch|serve_open --seed N "
+                 "gen_fig10|dse_explore|serve_batch --seed N "
                  "--seconds S --trace 0|1\n",
                  why);
     std::exit(2);
@@ -146,8 +143,6 @@ main(int argc, char **argv)
         res = runGenFig10(args);
     else if (args.workload == "dse_explore")
         res = runDseExplore(args);
-    else if (args.workload == "serve_open")
-        res = runServeOpen(args);
     else if (args.workload == "serve_batch")
         res = runServeBatch(args);
     else

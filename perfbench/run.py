@@ -4,7 +4,7 @@
     python3 perfbench/run.py --workload WORKLOAD --seed N --seconds S \
         --trace 0|1
 
-WORKLOAD is gen_fig10, dse_explore, serve_batch or serve_open; see
+WORKLOAD is gen_fig10, dse_explore or serve_batch; see
 perfbench/README.md.
 
 Run from the repository root. The first call configures and builds

@@ -1,6 +1,6 @@
 /**
  * @file
- * The serve workloads: request lines into one long-lived ServeLoop.
+ * serve_batch: request lines into one long-lived ServeLoop.
  *
  * The stream: all twelve registry models with a fixed Zipf
  * popularity; zoos of one to three models; K in {1,2,4,8} with K = 1
@@ -15,24 +15,15 @@
  * Every answer is checked against a paused, one-in-flight replay of
  * the distinct requests (sameResponse, identity fields aligned).
  *
- * serve_batch (gated): batches of kBatch lines submitted to the paused
- * loop (one request in flight, pool inline), released and drained.
+ * Batches of kBatch lines are submitted to the paused loop (one
+ * request in flight, pool inline), then released and drained.
  * Throughput is the median batch; latency is the service time of each
  * computed answer (its build, without queueing).
- *
- * serve_open (diagnostic): one generator thread sends lines on a
- * seeded Poisson schedule to a loop with kInFlight requests in flight;
- * each request is timed from its due time, so a stall shows up in
- * every request it delays. A nominal phase at kNominalRps gives the
- * due-time p50/p99; a fixed rate ladder gives the highest rate whose
- * p99 meets kP99LimitMs with no growing backlog. On a shared host
- * these swing with the host's stalls, so serve_open is not gated.
  */
 
 #include <algorithm>
 #include <cmath>
 #include <random>
-#include <thread>
 #include <limits>
 #include <memory>
 #include <unordered_map>
@@ -58,21 +49,9 @@ constexpr std::size_t kNumModels = std::size(kByPopularity);
 /** Request templates the stream draws from, and their fixed seed. */
 constexpr std::size_t kPoolSize = 2048;
 constexpr std::uint64_t kPoolSeed = 0x1e90c0de;
-constexpr double kNominalRps = 1000;
-/** The rate ladder (req/s): coarse rungs kLadderStart * 1.25^i below
- *  kLadderTop, then fine rungs 1.05^j above the last coarse rung that
- *  met the limit. */
-constexpr double kLadderStart = 2000;
-constexpr double kLadderTop = 40000;
-constexpr double kCoarseStep = 1.25;
-constexpr double kFineStep = 1.05;
-constexpr double kP99LimitMs = 15;
-constexpr std::size_t kInFlight = 2;
-/** Send later than this counts as a late send. */
-constexpr double kLateMs = 1.0;
-/** Requests per paused batch of the throughput phase. */
+/** Requests per paused batch. */
 constexpr std::size_t kBatch = 1000;
-/** Stream length; phases wrap around it. */
+/** Stream length; batches wrap around it. */
 constexpr std::size_t kStreamLines = 1 << 16;
 
 const std::size_t kKs[] = {1, 2, 4, 8};
@@ -90,7 +69,7 @@ struct Line
     std::size_t key = 0; //!< Index into the distinct-key table.
 };
 
-/** The seeded request stream; phases read it cyclically through
+/** The seeded request stream; batches read it cyclically through
  *  line(), so its length bounds memory, not run time. */
 struct Stream
 {
@@ -104,10 +83,10 @@ struct Stream
 /** Per-(model, K) extremes, from a private engine (input
  *  generation: the served loop never sees this work). */
 std::vector<std::vector<Extremes>>
-computeExtremes(const HardwareConfig &hw, int threads)
+computeExtremes(const HardwareConfig &hw)
 {
     dse::DseOptions o;
-    o.threads = threads;
+    o.threads = 1;
     dse::DseEngine engine(o);
     std::vector<std::vector<Extremes>> out(kNumModels);
     for (std::size_t mi = 0; mi < kNumModels; ++mi) {
@@ -219,7 +198,7 @@ makeStream(std::uint64_t seed, std::size_t count,
            const std::vector<std::vector<Extremes>> &ext)
 {
     // The catalogue of request templates is fixed; the seed draws the
-    // traffic from it (which template, when).
+    // traffic from it (which template each line sends).
     std::mt19937_64 poolRng(kPoolSeed);
     const std::vector<serve::ServeRequest> pool = makePool(poolRng, ext);
     std::mt19937_64 rng(seed ^ 0x5e7e0a11ull);
@@ -252,26 +231,13 @@ makeStream(std::uint64_t seed, std::size_t count,
     return s;
 }
 
-/** Poisson due offsets (ns from phase start) for `n` sends. */
-std::vector<std::uint64_t>
-dueOffsets(std::mt19937_64 &rng, double rps, std::size_t n)
-{
-    std::exponential_distribution<double> gap(rps);
-    std::vector<std::uint64_t> out;
-    double t = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        t += gap(rng);
-        out.push_back(std::uint64_t(t * 1e9));
-    }
-    return out;
-}
-
+/** One server thread, the pool inline: the batch is the only work. */
 serve::ServeOptions
-loopOptions(int poolThreads, std::size_t inFlight, bool coalesce)
+loopOptions(bool coalesce)
 {
     serve::ServeOptions o;
-    o.dse.threads = poolThreads;
-    o.maxInFlight = inFlight;
+    o.dse.threads = 1;
+    o.maxInFlight = 1;
     o.coalesce = coalesce;
     return o;
 }
@@ -288,47 +254,24 @@ replayPaused(serve::ServeLoop &loop, const std::vector<std::string> &lines)
     loop.drain();
 }
 
-/** One phase: an open-loop run at a fixed rate, or one paused batch. */
-struct Phase
+/** One paused batch and its checked answers. */
+struct Batch
 {
-    double rps = 0;
     std::size_t sent = 0;
-    double seconds = 0;        //!< First due (or submit) to last answer.
-    std::vector<double> latMs; //!< Due -> answer (open loop only).
-    std::vector<double> lateMs;
+    double seconds = 0; //!< First submit to last answer.
     std::vector<double> answerMs; //!< latencyMs (admission -> answer).
     /** Build time of each computed (not coalesced) answer: the
      *  request's own work, without queueing or wake-ups. */
     std::vector<double> serviceMs;
-    std::size_t lateSends = 0;
-    std::size_t failed = 0;    //!< Error, shed or degraded answers.
     std::size_t coalesced = 0;
-    /** Outstanding requests (sent, not yet answered), averaged over
-     *  the first and the last quarter of the sends, and the peak. */
-    double backlogStart = 0, backlogEnd = 0;
-    std::size_t backlogMax = 0;
     dse::DseStats dse;         //!< Summed per-request stats.
     std::uint64_t evaluatorEvals = 0; //!< Evaluator counter delta.
 
-    /** The backlog grows when its last-quarter mean exceeds 1.5x its
-     *  first-quarter mean plus eight requests. */
-    bool growing() const
-    {
-        return backlogEnd > 1.5 * backlogStart + 8;
-    }
-    double p99() const { return pct(latMs, 0.99); }
-    bool meets() const
-    {
-        return failed == 0 && !growing() && p99() <= kP99LimitMs;
-    }
-
-    /** Check one answer against the reference and fold it in;
-     *  returns false for an error, shed or degraded answer. */
-    bool absorb(Result &res, const serve::ServeResponse &r,
+    /** Check one answer against the reference and fold it in. */
+    void absorb(Result &res, const serve::ServeResponse &r,
                 const serve::ServeResponse &reference)
     {
         const bool bad = !r.ok || r.shed || r.degraded;
-        failed += bad;
         res.check(!bad, "serve: error, shed or degraded answer");
         serve::ServeResponse want = reference;
         want.seq = r.seq;
@@ -348,104 +291,19 @@ struct Phase
         dse.modelEvals += r.stats.dse.modelEvals;
         dse.mappingsPruned += r.stats.dse.mappingsPruned;
         dse.dataflowsPruned += r.stats.dse.dataflowsPruned;
-        return !bad;
     }
 };
 
 /** The reference answer of each distinct request key. */
 using Reference = std::vector<serve::ServeResponse>;
 
-Phase
-runPhase(Result &res, serve::ServeLoop &loop, const Stream &stream,
-         std::size_t &cursor, double rps, double seconds,
-         std::mt19937_64 &rng, const Reference &ref, bool traced)
-{
-    Phase ph;
-    ph.rps = rps;
-    const std::size_t n = std::max<std::size_t>(
-        1, std::size_t(std::llround(rps * seconds)));
-    const std::vector<std::uint64_t> due = dueOffsets(rng, rps, n);
-    std::vector<std::uint64_t> dueNs(n), admitNs(n);
-    obs::Counter &emitted = loop.metrics().counter("serve.requests");
-    const std::uint64_t emitted0 = emitted.value();
-    const std::uint64_t evals0 =
-        loop.engine().evaluator().counters().modelEvals;
-    obs::Tracer::setEnabled(traced);
-
-    std::uint64_t firstSeq = 0;
-    const std::uint64_t start = obs::Tracer::nowNs() + 1000000;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t at = start + due[i];
-        // Sleep to just short of the due time, then spin: sleeping
-        // alone overshoots by tens of microseconds.
-        std::uint64_t now = obs::Tracer::nowNs();
-        if (at > now + 300000)
-            std::this_thread::sleep_for(
-                std::chrono::nanoseconds(at - now - 200000));
-        while ((now = obs::Tracer::nowNs()) < at)
-            ;
-        const double late = double(now - at) / 1e6;
-        ph.lateMs.push_back(late);
-        ph.lateSends += late > kLateMs;
-        std::uint64_t seq;
-        {
-            PB_SPAN("serve.submit");
-            seq = loop.submitLine(stream.line(cursor + i).text,
-                                  cursor + i + 1);
-        }
-        if (i == 0)
-            firstSeq = seq;
-        dueNs[i] = at;
-        admitNs[i] = obs::Tracer::nowNs();
-        const std::size_t outstanding =
-            std::size_t(seq + 1 - firstSeq) -
-            std::size_t(emitted.value() - emitted0);
-        ph.backlogMax = std::max(ph.backlogMax, outstanding);
-        if (4 * i < n)
-            ph.backlogStart += double(outstanding);
-        if (4 * i >= 3 * n)
-            ph.backlogEnd += double(outstanding);
-    }
-    const double quarter = std::max(1.0, double(n) / 4);
-    ph.backlogStart /= quarter;
-    ph.backlogEnd /= quarter;
-    loop.drain();
-    obs::Tracer::setEnabled(false);
-    ph.sent = n;
-    ph.evaluatorEvals =
-        loop.engine().evaluator().counters().modelEvals - evals0;
-
-    std::uint64_t lastAnswer = start;
-    const std::vector<serve::ServeResponse> rs = loop.responses();
-    loop.clearResponses();
-    res.check(rs.size() == n, "serve: response count differs from sent");
-    for (const serve::ServeResponse &r : rs) {
-        const std::size_t i = std::size_t(r.seq - firstSeq);
-        if (i >= n) {
-            res.check(false, "serve: response outside the phase");
-            continue;
-        }
-        const bool ok =
-            ph.absorb(res, r, ref[stream.line(cursor + i).key]);
-        lastAnswer = std::max(
-            lastAnswer, admitNs[i] + std::uint64_t(r.latencyMs * 1e6));
-        ph.latMs.push_back(ok ? double(admitNs[i] - dueNs[i]) / 1e6 +
-                                    r.latencyMs
-                              : 1e9);
-    }
-    cursor += n;
-    ph.seconds = double(std::max(lastAnswer, start + due.back()) - start) /
-                 1e9;
-    return ph;
-}
-
 /** One paused batch: kBatch lines submitted while the loop is
  *  paused, then released and drained. */
-Phase
+Batch
 runBatch(Result &res, serve::ServeLoop &loop, const Stream &stream,
          std::size_t &cursor, const Reference &ref, bool traced)
 {
-    Phase ph;
+    Batch out;
     const std::uint64_t evals0 =
         loop.engine().evaluator().counters().modelEvals;
     obs::Tracer::setEnabled(traced);
@@ -461,21 +319,21 @@ runBatch(Result &res, serve::ServeLoop &loop, const Stream &stream,
     }
     loop.resume();
     loop.drain();
-    ph.seconds = msSince(t0) / 1000.0;
+    out.seconds = msSince(t0) / 1000.0;
     obs::Tracer::setEnabled(false);
-    ph.sent = kBatch;
-    ph.evaluatorEvals =
+    out.sent = kBatch;
+    out.evaluatorEvals =
         loop.engine().evaluator().counters().modelEvals - evals0;
     const std::vector<serve::ServeResponse> rs = loop.responses();
     loop.clearResponses();
     res.check(rs.size() == kBatch, "serve: batch answer count");
     for (const serve::ServeResponse &r : rs)
-        ph.absorb(res, r, ref[stream.line(cursor + (r.seq - first)).key]);
+        out.absorb(res, r, ref[stream.line(cursor + (r.seq - first)).key]);
     cursor += kBatch;
-    return ph;
+    return out;
 }
 
-/** What every serve workload builds before it measures. */
+/** What the workload builds before it measures. */
 struct Served
 {
     Stream stream;
@@ -490,20 +348,28 @@ struct Served
  * stream, a paused one-in-flight replay of the distinct requests
  * without coalescing (the reference), then nine constructions of the
  * measured loop with a cold warm-up over the distinct requests each
- * (set-up time is their median; the last loop is measured).
+ * (set-up time is their median; the last loop is measured). The
+ * cold reference replay also checks that the answers' per-request
+ * model evals sum to the evaluator's counter.
  */
 Served
-prepare(Result &res, const Args &args, std::size_t inFlight,
-        int poolThreads)
+prepare(Result &res, const Args &args)
 {
     Served s;
-    const auto ext = computeExtremes(serve::ServeOptions().hw, poolThreads);
+    const auto ext = computeExtremes(serve::ServeOptions().hw);
     s.stream = makeStream(args.seed, kStreamLines, ext);
     {
-        serve::ServeLoop refLoop(loopOptions(poolThreads, 1, false));
+        serve::ServeLoop refLoop(loopOptions(false));
         replayPaused(refLoop, s.stream.keyLines);
         s.ref = refLoop.responses();
         s.workingSet = refLoop.engine().cache().residentBytes();
+        std::uint64_t evals = 0;
+        for (const serve::ServeResponse &r : s.ref)
+            evals += r.stats.dse.modelEvals;
+        res.check(evals > 0 &&
+                      evals == refLoop.engine().evaluator().counters().modelEvals,
+                  "serve: per-request eval stats do not sum to the "
+                  "evaluator's");
     }
     res.check(s.ref.size() == s.stream.keyLines.size(),
               "serve: reference replay incomplete");
@@ -513,20 +379,17 @@ prepare(Result &res, const Args &args, std::size_t inFlight,
     for (int rep = 0; rep < 9; ++rep) {
         s.loop.reset();
         const Clock::time_point t0 = Clock::now();
-        s.loop = std::make_unique<serve::ServeLoop>(
-            loopOptions(poolThreads, inFlight, true));
+        s.loop = std::make_unique<serve::ServeLoop>(loopOptions(true));
         replayPaused(*s.loop, s.stream.keyLines);
         s.setupS.push_back(msSince(t0) / 1000.0);
     }
     s.loop->clearResponses();
-    std::printf("%s: %zu lines, %zu distinct requests, %.1f%% re-sends "
-                "of a recent line; %zu in flight, pool threads %d, nproc "
-                "%u; cache working set %llu B, L1 unbounded\n",
-                args.workload.c_str(), s.stream.lines.size(),
-                s.stream.keyLines.size(),
+    std::printf("serve_batch: %zu lines, %zu distinct requests, %.1f%% "
+                "re-sends of a recent line; 1 in flight, pool inline; "
+                "cache working set %llu B, L1 unbounded\n",
+                s.stream.lines.size(), s.stream.keyLines.size(),
                 100.0 * double(s.stream.dupShare) /
                     double(s.stream.lines.size()),
-                inFlight, poolThreads, std::thread::hardware_concurrency(),
                 static_cast<unsigned long long>(s.workingSet));
     return s;
 }
@@ -604,15 +467,12 @@ replayStages(Result &res, serve::ServeLoop &loop, const Served &s,
 }
 
 /** The serve per-layer metrics: spans, plus the counters the
- *  untraced phase's answers carry. */
+ *  last untraced batch's answers carry. */
 void
-setLayerMetrics(Result &res, const Phase &plain, const SpanStats &spans,
+setLayerMetrics(Result &res, const Batch &plain, const SpanStats &spans,
                 serve::ServeLoop &loop, double overheadPct)
 {
     res.check(spans.dropped() == 0, "serve: tracer dropped events");
-    res.check(plain.dse.modelEvals == plain.evaluatorEvals,
-              "serve: per-request eval stats do not sum to the "
-              "evaluator's");
     const dse::DseStats &s = plain.dse;
     const double evals = double(s.modelEvals);
     const std::uint64_t lookups = s.l0Hits + s.l0Misses;
@@ -626,9 +486,6 @@ setLayerMetrics(Result &res, const Phase &plain, const SpanStats &spans,
     res.set("serve.model_evals", evals);
     res.set("serve.coalesced_ratio",
             double(plain.coalesced) / double(plain.sent));
-    res.set("serve.backlog_max", double(plain.backlogMax));
-    res.set("bench.late_ms_p99", pct(plain.lateMs, 0.99));
-    res.set("bench.late_sends", double(plain.lateSends));
     res.set("dse.model_evals", double(plain.evaluatorEvals));
     res.set("dse.mappings_pruned", double(s.mappingsPruned));
     res.set("dse.dataflows_pruned", double(s.dataflowsPruned));
@@ -648,137 +505,34 @@ setLayerMetrics(Result &res, const Phase &plain, const SpanStats &spans,
 } // namespace
 
 Result
-runServeOpen(const Args &args)
-{
-    Result res;
-    // Generator thread + kInFlight server threads + pool threads stay
-    // within nproc (the pool runs inline at one thread).
-    const int poolThreads = int(std::max<long>(
-        1, long(std::thread::hardware_concurrency()) - 1 - long(kInFlight)));
-    Served s = prepare(res, args, kInFlight, poolThreads);
-    serve::ServeLoop &loop = *s.loop;
-    std::mt19937_64 rng(args.seed ^ 0xd0e5ull);
-    std::size_t cursor = 0;
-
-    if (args.trace) {
-        // Untraced, then traced, at the nominal rate; the difference
-        // of their p50s is the tracing overhead.
-        const Phase plain = runPhase(res, loop, s.stream, cursor,
-                                     kNominalRps, args.seconds * 0.4, rng,
-                                     s.ref, false);
-        beginTracing();
-        const Phase traced = runPhase(res, loop, s.stream, cursor,
-                                      kNominalRps, args.seconds * 0.4, rng,
-                                      s.ref, true);
-        SpanStats spans;
-        spans.collect();
-        beginTracing();
-        replayStages(res, loop, s, cursor);
-        spans.collect();
-        obs::Tracer::setEnabled(false);
-        const double overheadPct =
-            100.0 * (median(traced.latMs) / median(plain.latMs) - 1.0);
-        std::printf("traced phase %zu requests, untraced %zu, tracing "
-                    "overhead on the p50 %+.2f%%\n",
-                    traced.sent, plain.sent, overheadPct);
-        setLayerMetrics(res, plain, spans, loop, overheadPct);
-        loop.shutdown();
-        return res;
-    }
-
-    const Phase nominal = runPhase(res, loop, s.stream, cursor, kNominalRps,
-                                   args.seconds * 0.5, rng, s.ref, false);
-
-    // Ladder: climb the coarse rungs while they meet the p99 limit
-    // with no growing backlog, then the fine rungs above the highest
-    // coarse rung that met both. Every step sends the same number of
-    // requests.
-    const std::size_t stepRequests =
-        std::max<std::size_t>(500, std::size_t(100 * args.seconds));
-    double maxRps = 0;
-    std::printf("%9s %7s %10s %9s %9s %9s %12s %6s  %s\n", "rate/s", "sent",
-                "achieved/s", "p50 ms", "p99 ms", "late p99", "backlog",
-                "failed", "meets");
-    auto row = [](const Phase &p) {
-        std::printf("%9.0f %7zu %10.1f %9.3f %9.3f %9.3f %5.1f->%-5.1f %6zu"
-                    "  %s\n",
-                    p.rps, p.sent, double(p.sent) / p.seconds,
-                    median(p.latMs), p.p99(), pct(p.lateMs, 0.99),
-                    p.backlogStart, p.backlogEnd, p.failed,
-                    p.meets() ? "yes" : "no");
-    };
-    row(nominal);
-    // A rung that misses is tried once more: the host's stalls come
-    // in bursts, and one burst must not decide the rung.
-    auto step = [&](double rps) {
-        for (int attempt = 0; attempt < 2; ++attempt) {
-            const Phase ph =
-                runPhase(res, loop, s.stream, cursor, rps,
-                         double(stepRequests) / rps, rng, s.ref, false);
-            row(ph);
-            if (ph.meets()) {
-                maxRps = double(ph.sent) / ph.seconds;
-                return true;
-            }
-        }
-        return false;
-    };
-    double bestCoarse = 0;
-    for (double rps = kLadderStart; rps < kLadderTop && step(rps);
-         rps *= kCoarseStep)
-        bestCoarse = rps;
-    for (double rps = bestCoarse * kFineStep;
-         bestCoarse > 0 && rps < bestCoarse * kCoarseStep && step(rps);
-         rps *= kFineStep) {
-    }
-    loop.shutdown();
-
-    std::printf("serve_p50_ms %.4f ms\nserve_p99_ms %.4f ms (due time -> "
-                "answer, %zu requests at %.0f req/s)\nserve_max_rps %.2f "
-                "req/s (p99 limit %.0f ms; 0 = no rung met it)\n"
-                "late sends (> %.0f ms) %zu, generator late p99 %.4f ms, "
-                "coalesced %.1f%%\n",
-                median(nominal.latMs), nominal.p99(), nominal.sent,
-                kNominalRps, maxRps, kP99LimitMs, kLateMs,
-                nominal.lateSends, pct(nominal.lateMs, 0.99),
-                100.0 * double(nominal.coalesced) / double(nominal.sent));
-    res.set("setup_s", median(s.setupS));
-    res.set("peak_rss_mb", peakRssMb());
-    res.set("throughput_per_s", maxRps);
-    res.set("op_p50_ms", median(nominal.latMs));
-    res.set("op_tail_ms", nominal.p99());
-    return res;
-}
-
-Result
 runServeBatch(const Args &args)
 {
     Result res;
-    // One server thread, the pool inline: the batch is the only work.
-    Served s = prepare(res, args, 1, 1);
+    Served s = prepare(res, args);
     serve::ServeLoop &loop = *s.loop;
     std::size_t cursor = 0;
 
     // Untraced batches (and, in the traced run, traced ones in
     // alternation) until the time is up.
     std::vector<double> batchMs, tracedMs, serviceMs;
-    Phase plain;
+    Batch plain;
     if (args.trace)
         beginTracing();
     SpanStats spans;
     const Clock::time_point start = Clock::now();
     for (int b = 0; msSince(start) < args.seconds * 1000.0; ++b) {
         const bool traced = args.trace && b % 2 == 1;
-        const Phase ph = runBatch(res, loop, s.stream, cursor, s.ref, traced);
+        const Batch batch =
+            runBatch(res, loop, s.stream, cursor, s.ref, traced);
         if (traced) {
-            tracedMs.push_back(ph.seconds * 1e3);
+            tracedMs.push_back(batch.seconds * 1e3);
             spans.collect();
             continue;
         }
-        batchMs.push_back(ph.seconds * 1e3);
-        serviceMs.insert(serviceMs.end(), ph.serviceMs.begin(),
-                         ph.serviceMs.end());
-        plain = ph; // Per-layer counters: the last untraced batch.
+        batchMs.push_back(batch.seconds * 1e3);
+        serviceMs.insert(serviceMs.end(), batch.serviceMs.begin(),
+                         batch.serviceMs.end());
+        plain = batch; // Per-layer counters: the last untraced batch.
     }
 
     if (args.trace) {

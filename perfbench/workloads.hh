@@ -17,7 +17,6 @@ namespace perfbench
 
 Result runGenFig10(const Args &args);
 Result runDseExplore(const Args &args);
-Result runServeOpen(const Args &args);
 Result runServeBatch(const Args &args);
 
 } // namespace perfbench
