@@ -124,16 +124,27 @@ delaysMatched(const Dag &dag)
     // D_v = D_u + regs + L_v must admit a consistent assignment with
     // *equality* on every edge. Propagate in topological order per
     // config and check reconvergent paths agree.
+    //
+    // Constants are timing-free, and so is any node whose every
+    // active input in config c is timing-free (e.g. a mux that
+    // selects only a constant in c): its value is the same at every
+    // cycle, so its out-edges need no alignment either.
     for (int c = 0; c < dag.numConfigs(); c++) {
         std::vector<Int> d(size_t(dag.numNodes()),
                            std::numeric_limits<Int>::min());
+        std::vector<char> timingFree(size_t(dag.numNodes()), 0);
+        for (int v = 0; v < dag.numNodes(); v++)
+            timingFree[size_t(v)] = dag.node(v).op == PrimOp::Const;
         for (int v : dag.topoOrder(c)) {
+            bool anyInput = false, anyTimed = false;
             for (int e : dag.inEdges(v)) {
                 const DagEdge &edge = dag.edge(e);
                 if (edge.dead || !edge.activeFor(c))
                     continue;
-                if (dag.node(edge.from).op == PrimOp::Const)
-                    continue; // Constants are timing-free.
+                anyInput = true;
+                if (timingFree[size_t(edge.from)])
+                    continue;
+                anyTimed = true;
                 Int arrive = d[size_t(edge.from)];
                 if (arrive == std::numeric_limits<Int>::min())
                     arrive = 0;
@@ -143,6 +154,8 @@ delaysMatched(const Dag &dag)
                 else if (d[size_t(v)] != dv)
                     return false;
             }
+            if (anyInput && !anyTimed)
+                timingFree[size_t(v)] = 1;
             if (d[size_t(v)] == std::numeric_limits<Int>::min())
                 d[size_t(v)] = 0;
         }

@@ -6,7 +6,11 @@
  * D_v - D_u - L_v >= 0 pipeline registers on each edge so that all
  * input pins of every primitive receive data from the same logical
  * cycle. The objective min sum EL * width is solved exactly via the
- * difference-constraint LP (network-simplex dual).
+ * difference-constraint LP, whose dual is a min-cost flow solved by
+ * the primal-dual (Dijkstra + blocking flow) solver in lp/netflow.hh.
+ * Register placement follows that solver's optimal dual: the
+ * potentials successive shortest paths would produce, not an
+ * arbitrary optimum, so the RTL does not depend on flow tie-breaks.
  *
  * Per-config programmed delays (FIFO depths, control skews) are
  * excluded from the LP: the front end derives them from the same
@@ -48,7 +52,9 @@ int assignPipelineLatencies(Dag &dag, Int levelsPerCycle = 3);
 
 /**
  * Verify the matching invariant: for every node, all input paths
- * from every graph source have equal static delay. Used by tests.
+ * from every graph source have equal static delay. Paths from
+ * timing-free nodes (constants, and per config any node fed only by
+ * timing-free nodes) are exempt. Used by tests.
  */
 bool delaysMatched(const Dag &dag);
 

@@ -182,12 +182,14 @@ rewireBroadcasts(Dag &dag)
             dag.addEdge(std::move(te));
 
             // The destination now reads its tap with no extra delay.
+            // addEdge may have reallocated the edges: `edge` dangles.
             dag.retargetEdgeSource(d.edge, tid);
-            if (!edge.cfgDelay.empty())
-                edge.cfgDelay.assign(size_t(nc), 0);
+            DagEdge &out = dag.edge(d.edge);
+            if (!out.cfgDelay.empty())
+                out.cfgDelay.assign(size_t(nc), 0);
 
             prev_tap = tid;
-            prev_fu = dag.node(edge.to).fu;
+            prev_fu = dag.node(out.to).fu;
             prev_prog = d.prog;
             prev_el = d.el;
             chained++;

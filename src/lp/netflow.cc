@@ -1,5 +1,6 @@
 #include "lp/netflow.hh"
 
+#include <algorithm>
 #include <deque>
 #include <limits>
 #include <queue>
@@ -60,13 +61,11 @@ MinCostFlow::flowOn(int arc_id) const
 }
 
 bool
-MinCostFlow::bellmanFordInit(int src)
+MinCostFlow::bellmanFordInit()
 {
     // Virtual-source Bellman-Ford: start all nodes at 0 so that the
     // resulting potentials are feasible on every component (needed for
-    // reading back dual values on flow-free components). src itself
-    // participates like any node.
-    (void)src;
+    // reading back dual values on flow-free components).
     std::vector<Int> dist(size_t(n_), 0);
     std::vector<char> inq(size_t(n_), 1);
     std::vector<int> relaxed(size_t(n_), 0);
@@ -98,12 +97,9 @@ MinCostFlow::bellmanFordInit(int src)
 }
 
 bool
-MinCostFlow::dijkstra(int src, int dst, std::vector<int> &prev_node,
-                      std::vector<int> &prev_edge)
+MinCostFlow::dijkstra(int src, int dst)
 {
     std::vector<Int> dist(size_t(n_), kInf);
-    prev_node.assign(size_t(n_), -1);
-    prev_edge.assign(size_t(n_), -1);
     using Item = std::pair<Int, int>;
     std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
     dist[size_t(src)] = 0;
@@ -113,8 +109,7 @@ MinCostFlow::dijkstra(int src, int dst, std::vector<int> &prev_node,
         pq.pop();
         if (d > dist[size_t(u)])
             continue;
-        for (size_t i = 0; i < graph_[size_t(u)].size(); i++) {
-            const Edge &e = graph_[size_t(u)][i];
+        for (const Edge &e : graph_[size_t(u)]) {
             if (e.cap <= 0)
                 continue;
             Int rc = e.cost + pi_[size_t(u)] - pi_[size_t(e.to)];
@@ -123,8 +118,6 @@ MinCostFlow::dijkstra(int src, int dst, std::vector<int> &prev_node,
             Int nd = d + rc;
             if (nd < dist[size_t(e.to)]) {
                 dist[size_t(e.to)] = nd;
-                prev_node[size_t(e.to)] = u;
-                prev_edge[size_t(e.to)] = int(i);
                 pq.push({nd, e.to});
             }
         }
@@ -132,10 +125,84 @@ MinCostFlow::dijkstra(int src, int dst, std::vector<int> &prev_node,
     if (dist[size_t(dst)] >= kInf)
         return false;
     // Update potentials, capping by dist[dst] to keep feasibility on
-    // unreached nodes.
+    // unreached nodes. Every shortest src-dst path now has zero
+    // reduced cost.
     for (int v = 0; v < n_; v++)
         pi_[size_t(v)] += std::min(dist[size_t(v)], dist[size_t(dst)]);
     return true;
+}
+
+Int
+MinCostFlow::admissibleMaxFlow(int src, int dst)
+{
+    // Dinic restricted to admissible arcs (residual, zero reduced
+    // cost): BFS levels, then a blocking flow along level-increasing
+    // paths with per-node arc iterators; repeat until dst is cut off.
+    std::vector<int> level, iter, queue, path;
+    auto admissible = [&](int u, const Edge &e) {
+        return e.cap > 0 && e.cost + pi_[size_t(u)] == pi_[size_t(e.to)];
+    };
+    auto nextLevel = [&](int u, const Edge &e) {
+        return level[size_t(e.to)] == level[size_t(u)] + 1 &&
+               admissible(u, e);
+    };
+    // The arc a node on the path leaves by.
+    auto arcOf = [&](int u) -> Edge & {
+        return graph_[size_t(u)][size_t(iter[size_t(u)])];
+    };
+    Int pushed = 0;
+    for (;;) {
+        level.assign(size_t(n_), -1);
+        level[size_t(src)] = 0;
+        queue.assign(1, src);
+        for (size_t h = 0; h < queue.size(); h++) {
+            int u = queue[h];
+            for (const Edge &e : graph_[size_t(u)]) {
+                if (level[size_t(e.to)] < 0 && admissible(u, e)) {
+                    level[size_t(e.to)] = level[size_t(u)] + 1;
+                    queue.push_back(e.to);
+                }
+            }
+        }
+        if (level[size_t(dst)] < 0)
+            return pushed;
+
+        iter.assign(size_t(n_), 0);
+        path.assign(1, src);
+        while (!path.empty()) {
+            int u = path.back();
+            if (u == dst) {
+                Int push = kInf;
+                for (size_t k = 0; k + 1 < path.size(); k++)
+                    push = std::min(push, arcOf(path[k]).cap);
+                size_t cut = path.size();
+                for (size_t k = 0; k + 1 < path.size(); k++) {
+                    Edge &e = arcOf(path[k]);
+                    e.cap -= push;
+                    graph_[size_t(e.to)][size_t(e.rev)].cap += push;
+                    totalCost_ += push * e.cost;
+                    if (e.cap == 0)
+                        cut = std::min(cut, k);
+                }
+                pushed += push;
+                // Retreat to the tail of the first saturated arc.
+                path.resize(cut + 1);
+                continue;
+            }
+            const std::vector<Edge> &adj = graph_[size_t(u)];
+            int &i = iter[size_t(u)];
+            while (size_t(i) < adj.size() && !nextLevel(u, adj[size_t(i)]))
+                i++;
+            if (size_t(i) < adj.size()) {
+                path.push_back(adj[size_t(i)].to);
+            } else {
+                // Dead end: drop u and the arc that led to it.
+                path.pop_back();
+                if (!path.empty())
+                    iter[size_t(path.back())]++;
+            }
+        }
+    }
 }
 
 bool
@@ -159,31 +226,16 @@ MinCostFlow::solve()
     if (demand != total)
         return false;
 
-    if (!bellmanFordInit(src))
+    if (!bellmanFordInit())
         panic("MinCostFlow: negative cycle in constraint graph");
 
+    // Primal-dual phases: one Dijkstra, then saturate every
+    // zero-reduced-cost path it opened.
     Int shipped = 0;
-    std::vector<int> prev_node, prev_edge;
     while (shipped < total) {
-        if (!dijkstra(src, dst, prev_node, prev_edge))
+        if (!dijkstra(src, dst))
             return false;
-        // Bottleneck along the path.
-        Int push = kInf;
-        for (int v = dst; v != src; v = prev_node[size_t(v)]) {
-            const Edge &e =
-                graph_[size_t(prev_node[size_t(v)])]
-                      [size_t(prev_edge[size_t(v)])];
-            push = std::min(push, e.cap);
-        }
-        push = std::min(push, total - shipped);
-        for (int v = dst; v != src; v = prev_node[size_t(v)]) {
-            Edge &e = graph_[size_t(prev_node[size_t(v)])]
-                            [size_t(prev_edge[size_t(v)])];
-            e.cap -= push;
-            graph_[size_t(v)][size_t(e.rev)].cap += push;
-            totalCost_ += push * e.cost;
-        }
-        shipped += push;
+        shipped += admissibleMaxFlow(src, dst);
     }
     return true;
 }

@@ -1,12 +1,26 @@
 /**
  * @file
- * Exact min-cost flow (successive shortest paths with potentials).
+ * Exact min-cost flow (primal-dual: Dijkstra phases + blocking flow).
  *
  * The delay-matching LP of Section V-A is a difference-constraint LP;
  * its dual is an uncapacitated transshipment problem, solved here as a
  * min-cost flow. Optimal node potentials then yield the primal D
  * variables (see diffcon.hh). Costs/capacities/supplies are integral,
  * so the optimum is integral — the paper's register counts.
+ *
+ * Each phase runs one Dijkstra on reduced costs, raises the
+ * potentials by min(dist, dist[sink]), and then saturates the
+ * admissible subgraph (residual arcs of zero reduced cost) with
+ * Dinic blocking flows. The next Dijkstra runs only once no
+ * admissible path remains. The potentials are exactly those of successive
+ * shortest paths (one Dijkstra per augmenting path): while an
+ * admissible path exists, SSP's Dijkstra finds dist[sink] = 0 and
+ * leaves every potential unchanged, and any two maximum flows on the
+ * admissible subgraph leave residual graphs with the same
+ * shortest-path distances (they differ by zero-cost cycles, so each
+ * arc one of them lacks is bridged by a zero-cost path in the
+ * other). The returned dual, and hence register placement and RTL,
+ * is therefore the SSP dual.
  */
 
 #ifndef LEGO_LP_NETFLOW_HH
@@ -61,9 +75,9 @@ class MinCostFlow
     };
 
     void addInternal(int u, int v, Int cap, Int cost);
-    bool bellmanFordInit(int src);
-    bool dijkstra(int src, int dst, std::vector<int> &prev_node,
-                  std::vector<int> &prev_edge);
+    bool bellmanFordInit();
+    bool dijkstra(int src, int dst);
+    Int admissibleMaxFlow(int src, int dst);
 
     int n_;
     std::vector<std::vector<Edge>> graph_;

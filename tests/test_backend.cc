@@ -157,6 +157,30 @@ TEST(Backend, FusedDesignBothConfigsCorrect)
     EXPECT_TRUE(verifyAgainstReference(b.gen, b.adg, 1, 43));
 }
 
+TEST(Backend, FusedThreeConfigGemmDelaysMatched)
+{
+    // ij broadcast, kj broadcast and ik systolic on one array. In the
+    // ij config an operand mux selects only a constant; the checker
+    // must treat it as timing-free, not as arriving at cycle 0.
+    for (Int p : {2, 4}) {
+        Workload w1 = makeGemm(8, 8, 8), w2 = w1, w3 = w1;
+        Built b = buildAll(
+            {{&w1, buildDataflow(w1, makeSimpleSpec(
+                                         w1, "ij", {{"i", p}, {"j", p}},
+                                         false))},
+             {&w2, buildDataflow(w2, makeSimpleSpec(
+                                         w2, "kj", {{"k", p}, {"j", p}},
+                                         false))},
+             {&w3, buildDataflow(w3, makeSimpleSpec(
+                                         w3, "ik", {{"i", p}, {"k", p}},
+                                         true))}});
+        EXPECT_TRUE(delaysMatched(b.gen.dag)) << "p=" << p;
+        for (int c = 0; c < 3; c++)
+            EXPECT_TRUE(verifyAgainstReference(b.gen, b.adg, c, 53))
+                << "p=" << p << " config " << c;
+    }
+}
+
 TEST(Backend, FusedConvGemmSharedArray)
 {
     // Cross-workload fusion: Conv2D (ICOC) and GEMM (KJ) on one

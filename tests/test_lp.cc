@@ -198,6 +198,93 @@ TEST_P(DiffConRandom, MatchesDenseSimplex)
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffConRandom,
                          ::testing::Range(0u, 24u));
 
+/**
+ * Rewire-shaped instances, built the way rewireBroadcasts stage 1
+ * builds its LP: every node with two or more out-edges is a broadcast
+ * star whose edges carry weight 0; a virtual max-node M per star has
+ * M - D_dst >= -latency(dst) at weight 0 for each destination, and
+ * the star's width is paid once on M - D_src. Zero weights make the
+ * flow phases degenerate, which the small sweep above never hits.
+ */
+class DiffConRewireRandom : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(DiffConRewireRandom, MatchesDenseSimplex)
+{
+    std::mt19937 rng(GetParam());
+    const int n = 24;
+    std::uniform_int_distribution<int> node(0, n - 1);
+    std::uniform_int_distribution<Int> lat(0, 2);
+    std::uniform_int_distribution<Int> wid(1, 16);
+
+    std::vector<Int> latency(size_t(n), 0);
+    for (Int &l : latency)
+        l = lat(rng);
+    struct E { int u, v; Int width; };
+    std::vector<E> edges;
+    std::vector<int> outDeg(size_t(n), 0);
+    for (int trial = 0; trial < 36; trial++) {
+        int u = node(rng), v = node(rng);
+        if (u == v)
+            continue;
+        if (u > v)
+            std::swap(u, v);
+        edges.push_back({u, v, wid(rng)});
+        outDeg[size_t(u)]++;
+    }
+
+    struct C { int u, v; Int l, w; };
+    std::vector<C> cons;
+    for (const E &e : edges)
+        cons.push_back({e.u, e.v, latency[size_t(e.v)],
+                        outDeg[size_t(e.u)] >= 2 ? 0 : e.width});
+    int vars = n;
+    for (int s = 0; s < n; s++) {
+        if (outDeg[size_t(s)] < 2)
+            continue;
+        int m = vars++;
+        Int width = 0;
+        for (const E &e : edges) {
+            if (e.u != s)
+                continue;
+            cons.push_back({e.v, m, -latency[size_t(e.v)], 0});
+            width = std::max(width, e.width);
+        }
+        cons.push_back({s, m, 0, width});
+    }
+    ASSERT_GE(vars, 30) << "seed " << GetParam();
+
+    DiffConstraintLp dlp(n);
+    while (dlp.numVars() < vars)
+        dlp.addVar();
+    for (const C &c : cons)
+        dlp.addConstraint(c.u, c.v, c.l, c.w);
+    ASSERT_TRUE(dlp.solve());
+    for (const C &c : cons)
+        EXPECT_GE(dlp.value(c.v) - dlp.value(c.u), c.l)
+            << "seed " << GetParam();
+
+    LinearProgram lp(vars);
+    std::vector<double> obj(size_t(vars), 0.0);
+    double constant = 0.0;
+    for (const C &c : cons) {
+        obj[size_t(c.v)] += double(c.w);
+        obj[size_t(c.u)] -= double(c.w);
+        constant += double(c.w) * double(c.l);
+        lp.addRowSparse({{c.v, 1.0}, {c.u, -1.0}}, RowSense::GE,
+                        double(c.l));
+    }
+    for (int j = 0; j < vars; j++)
+        lp.setObjective(j, obj[size_t(j)]);
+    ASSERT_EQ(lp.solve(), LpStatus::Optimal);
+    EXPECT_NEAR(lp.objective() - constant, double(dlp.objective()), 1e-6)
+        << "seed " << GetParam();
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DiffConRewireRandom,
+                         ::testing::Range(0u, 24u));
+
 TEST(BoolIlp, SetCover)
 {
     // Cover {a,b,c} with sets {a,b}, {b,c}, {a,c}, each cost 1;
