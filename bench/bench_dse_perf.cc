@@ -4,7 +4,7 @@
  * with the naive evaluator policy (no layer-class deduplication, no
  * bound pruning: the pre-optimization hot path) and once with the
  * optimized defaults — asserts the outputs are bit-identical, and
- * emits BENCH_dse.json with evaluation counts, cache-level hits,
+ * emits BENCH_dse.json with evaluation counts, frontier-memo hits,
  * pruning counters, and wall times so every PR has a perf
  * trajectory.
  *
@@ -28,13 +28,13 @@
  * (latency_ratio < 1 and energy_ratio < 1 in BENCH_dse.json,
  * schema 3).
  *
- * The cache_eviction section (schema 5) covers the bounded cost
- * cache: a frontier-valued zoo replay against a cache capped at half
- * its measured working set must evict, stay within the byte budget,
- * and keep its warm frontier-hit rate within 10 points of the
- * unbounded ideal (exit 1 otherwise) — evidence that the cost-aware
- * eviction order protects expensive frontier memos over
- * cheap-to-recompute scalars at production scale.
+ * The cache_eviction section (schema 6) covers the bounded cost
+ * cache: a frontier + segmentation replay against a cache capped at
+ * half its measured working set must evict, stay within the byte
+ * budget, and keep its warm segment-hit rate within 10 points of
+ * the unbounded ideal (exit 1 otherwise) — evidence that the
+ * cost-aware eviction order protects the expensive segment records
+ * over the cheaper frontier memos at production scale.
  *
  * Observability numbers in BENCH_dse.json:
  *  - per-sweep p50/p95/p99 request-latency percentiles (serve_replay
@@ -77,10 +77,8 @@ struct SweepNumbers
     std::string name;
     std::uint64_t modelEvals = 0;      //!< runLayerWithEff calls (optimized).
     std::uint64_t naiveModelEvals = 0; //!< Same sweep, naive policy.
-    std::uint64_t l0Hits = 0;
-    std::uint64_t l0Misses = 0;
-    std::uint64_t l1Hits = 0;
-    std::uint64_t l1Misses = 0;
+    std::uint64_t frontHits = 0;   //!< Frontier-memo hits (any level).
+    std::uint64_t frontMisses = 0; //!< Frontier lookups that swept.
     std::uint64_t mappingsPruned = 0;
     std::uint64_t dataflowsPruned = 0;
     std::uint64_t layersDeduped = 0;
@@ -161,7 +159,7 @@ sameFrontier(const dse::ParetoArchive &a, const dse::ParetoArchive &b)
 /** Counter snapshot so every sweep reports deltas, not lifetimes. */
 struct CounterSnap
 {
-    std::uint64_t l0h = 0, l0m = 0, l1h = 0, l1m = 0;
+    dse::CacheCounters cc;
     dse::EvalCounters ec;
 };
 
@@ -169,10 +167,7 @@ CounterSnap
 snapCounters(dse::DseEngine &engine)
 {
     CounterSnap c;
-    c.l0h = engine.cache().l0Hits();
-    c.l0m = engine.cache().l0Misses();
-    c.l1h = engine.cache().hits();
-    c.l1m = engine.cache().misses();
+    c.cc = engine.cache().counters();
     c.ec = engine.evaluator().counters();
     return c;
 }
@@ -183,10 +178,8 @@ fillCounters(SweepNumbers *s, dse::DseEngine &engine,
 {
     CounterSnap c1 = snapCounters(engine);
     s->modelEvals = c1.ec.modelEvals - c0.ec.modelEvals;
-    s->l0Hits = c1.l0h - c0.l0h;
-    s->l0Misses = c1.l0m - c0.l0m;
-    s->l1Hits = c1.l1h - c0.l1h;
-    s->l1Misses = c1.l1m - c0.l1m;
+    s->frontHits = c1.cc.frontHits - c0.cc.frontHits;
+    s->frontMisses = c1.cc.frontMisses - c0.cc.frontMisses;
     s->mappingsPruned =
         c1.ec.mappingsPruned - c0.ec.mappingsPruned;
     s->dataflowsPruned =
@@ -260,10 +253,10 @@ sweepMappingSearch(const Model &rn50)
 }
 
 /**
- * Warm re-run of the mapping search on one engine: every surviving
- * lookup is served by the thread-local L0 (zero locks, zero model
- * evaluations), and the schedule must be bit-identical to the cold
- * run's.
+ * Warm re-run of the mapping search on one engine: every layer
+ * class is served by the frontier memo's thread-local L0 (zero
+ * locks, zero model evaluations), and the schedule must be
+ * bit-identical to the cold run's.
  */
 SweepNumbers
 sweepMappingSearchWarm(const Model &rn50)
@@ -278,7 +271,7 @@ sweepMappingSearchWarm(const Model &rn50)
     ScheduleResult cold = engine.mapModel(eyeriss, rn50);
 
     // No separate naive engine here: the interesting numbers are 0
-    // model evaluations and an all-L0 hit path.
+    // model evaluations and an all-hit frontier memo.
     CounterSnap c0 = snapCounters(engine);
     auto t0 = std::chrono::steady_clock::now();
     ScheduleResult warm = engine.mapModel(eyeriss, rn50);
@@ -442,7 +435,7 @@ sweepMultiModel()
  * fresh loop warm-started from the flushed file. The baseline gate
  * covers model_evals of the WARM pass, which must stay at 0: a warm
  * serve replay re-evaluates nothing; every answer comes out of the
- * persisted scalar/frontier memo, bit-identical to the cold pass.
+ * persisted frontier memo, bit-identical to the cold pass.
  */
 SweepNumbers
 sweepServeReplay()
@@ -483,7 +476,6 @@ sweepServeReplay()
     // Stats accumulate over every compared request regardless of
     // identity, so a diverging replay still reports complete
     // counters next to its identical_output = false.
-    std::uint64_t frontHits = 0, frontLookups = 0;
     std::vector<double> warmLatencyMs;
     bool identical = cold.size() == warm.size();
     const std::size_t n = std::min(cold.size(), warm.size());
@@ -493,14 +485,10 @@ sweepServeReplay()
         warmLatencyMs.push_back(ws.wallSeconds * 1e3);
         s.naiveModelEvals += cs.modelEvals;
         s.modelEvals += ws.modelEvals;
-        s.l0Hits += ws.l0Hits;
-        s.l0Misses += ws.l0Misses;
-        s.l1Hits += ws.cacheHits;
-        s.l1Misses += ws.cacheMisses;
+        s.frontHits += ws.frontHits;
+        s.frontMisses += ws.frontMisses;
         s.layersDeduped += ws.layersDeduped;
         s.crossModelDeduped += ws.crossModelDeduped;
-        frontHits += ws.frontHits;
-        frontLookups += ws.frontHits + ws.frontMisses;
         // No request in this sweep carries a deadline and the queue
         // is unbounded, so a degraded or shed response here means
         // the robustness plumbing leaked into the exact path — fail
@@ -512,8 +500,9 @@ sweepServeReplay()
         for (const ScheduleResult &sched : warm[i].schedules)
             s.frontierPoints += sched.compose.frontierPoints;
     }
+    const std::uint64_t frontLookups = s.frontHits + s.frontMisses;
     s.warmFrontHitRate =
-        frontLookups ? double(frontHits) / double(frontLookups) : 0;
+        frontLookups ? double(s.frontHits) / double(frontLookups) : 0;
     s.p50Ms = obs::percentileOf(warmLatencyMs, 0.50);
     s.p95Ms = obs::percentileOf(warmLatencyMs, 0.95);
     s.p99Ms = obs::percentileOf(warmLatencyMs, 0.99);
@@ -522,21 +511,24 @@ sweepServeReplay()
 }
 
 /**
- * Bounded-cache eviction numbers (schema 5's cache_eviction
+ * Bounded-cache eviction numbers (schema 6's cache_eviction
  * section). The sweep measures what the LRU policy protects: a
- * frontier-valued zoo replay is first run unbounded to size its
- * working set and pin the ideal warm frontier-hit rate, then rerun
- * against a cache capped at HALF that footprint — a 2x-over-capacity
- * replay. The cost-aware eviction order sacrifices cheap-to-recompute
- * scalar memos first, so the warm frontier-hit rate must survive
- * within 10 points of the unbounded ideal while the resident
- * footprint respects the bound with a nonzero eviction count.
+ * replay filling both entry kinds — K = 4 per-layer frontiers plus
+ * the segmentation search's records for ResNet50, MobileNetV2 and
+ * EfficientNetV2 on a 2 GB/s DRAM box — is first run unbounded to
+ * size its working set and pin the ideal warm segment-hit rate, then
+ * rerun against a cache capped at HALF that footprint — a
+ * 2x-over-capacity replay. The cost-aware eviction order sacrifices
+ * the cheaper frontier memos first, so the warm segment-hit rate
+ * must survive within 10 points of the unbounded ideal while the
+ * resident footprint respects the bound with a nonzero eviction
+ * count.
  */
 struct EvictionNumbers
 {
     std::uint64_t workingSetBytes = 0; //!< Unbounded resident bytes.
     std::uint64_t capBytes = 0;        //!< Bound: workingSet / 2.
-    double unboundedWarmRate = 0; //!< Ideal warm frontier-hit rate.
+    double unboundedWarmRate = 0; //!< Ideal warm segment-hit rate.
     double boundedWarmRate = 0;   //!< Same replay under the bound.
     std::uint64_t evictions = 0;
     std::uint64_t residentBytes = 0; //!< After the bounded replay.
@@ -544,32 +536,35 @@ struct EvictionNumbers
 };
 
 EvictionNumbers
-sweepCacheEviction()
+sweepCacheEviction(const Model &rn50)
 {
     EvictionNumbers n;
     HardwareConfig hw;
+    hw.dram.bandwidthGBs = 2.0; // Bandwidth-starved: segments form.
     const Model mobilenet = makeMobileNetV2();
     const Model effnet = makeEfficientNetV2();
-    const Model bert = makeBert();
-    const std::vector<const Model *> zoo = {&mobilenet, &effnet,
-                                            &bert};
+    const std::vector<const Model *> zoo = {&rn50, &mobilenet,
+                                            &effnet};
     constexpr std::size_t kFront = 4;
+    SegmentOptions sopt;
+    sopt.enable = true;
 
     auto replay = [&](dse::Evaluator &ev) {
-        for (const Model *m : zoo)
+        for (const Model *m : zoo) {
             ev.mapModelFrontier(hw, *m, kFront);
+            dse::searchSegments(hw, *m, ev, sopt);
+        }
     };
     // Warm passes run on a FRESH thread: L0 is thread-local, so a
-    // new thread's empty L0 forces every lookup through the bounded
-    // L1 — the tier whose eviction policy is under test. Rates off
-    // the same-thread L0 would flatter any policy.
+    // new thread's empty L0 forces every frontier lookup through the
+    // bounded L1 — the tier whose eviction policy is under test.
     auto warmRate = [&](dse::Evaluator &ev, dse::CostCache &cache) {
         const dse::CacheCounters before = cache.counters();
         std::thread t([&] { replay(ev); });
         t.join();
         const dse::CacheCounters d = cache.counters() - before;
-        const std::uint64_t lookups = d.frontHits + d.frontMisses;
-        return lookups ? double(d.frontHits) / double(lookups) : 0.0;
+        const std::uint64_t lookups = d.segHits + d.segMisses;
+        return lookups ? double(d.segHits) / double(lookups) : 0.0;
     };
 
     {
@@ -760,20 +755,21 @@ writeJson(const std::string &path,
     std::ofstream out(path);
     out << "{\n";
     out << "  \"bench\": \"bench_dse_perf\",\n";
-    out << "  \"schema\": 5,\n";
+    out << "  \"schema\": 6,\n";
     out << "  \"build\": " << obs::buildInfo().toJson() << ",\n";
     {
-        // Schema 5: the cache_eviction section — the bounded-cache
-        // replay at half the measured working set, with the warm
-        // frontier-hit-rate survival gate.
+        // The cache_eviction section (schema 6 re-targeted it from
+        // frontier to segment hits) — the bounded-cache replay at
+        // half the measured working set, with the warm hit-rate
+        // survival gate.
         char buf[512];
         std::snprintf(
             buf, sizeof(buf),
             "  \"cache_eviction\": {\n"
             "    \"working_set_bytes\": %llu,\n"
             "    \"cap_bytes\": %llu,\n"
-            "    \"unbounded_warm_front_hit_rate\": %.4f,\n"
-            "    \"bounded_warm_front_hit_rate\": %.4f,\n"
+            "    \"unbounded_warm_seg_hit_rate\": %.4f,\n"
+            "    \"bounded_warm_seg_hit_rate\": %.4f,\n"
             "    \"evictions\": %llu,\n"
             "    \"resident_bytes\": %llu,\n"
             "    \"ok\": %s\n  },\n",
@@ -834,10 +830,8 @@ writeJson(const std::string &path,
             "      \"model_evals\": %llu,\n"
             "      \"naive_model_evals\": %llu,\n"
             "      \"eval_reduction\": %.2f,\n"
-            "      \"l0_hits\": %llu,\n"
-            "      \"l0_misses\": %llu,\n"
-            "      \"l1_hits\": %llu,\n"
-            "      \"l1_misses\": %llu,\n"
+            "      \"front_hits\": %llu,\n"
+            "      \"front_misses\": %llu,\n"
             "      \"mappings_pruned\": %llu,\n"
             "      \"dataflows_pruned\": %llu,\n"
             "      \"layers_deduped\": %llu,\n"
@@ -856,10 +850,8 @@ writeJson(const std::string &path,
             "    }%s\n",
             s.name.c_str(), (unsigned long long)s.modelEvals,
             (unsigned long long)s.naiveModelEvals, s.reduction(),
-            (unsigned long long)s.l0Hits,
-            (unsigned long long)s.l0Misses,
-            (unsigned long long)s.l1Hits,
-            (unsigned long long)s.l1Misses,
+            (unsigned long long)s.frontHits,
+            (unsigned long long)s.frontMisses,
             (unsigned long long)s.mappingsPruned,
             (unsigned long long)s.dataflowsPruned,
             (unsigned long long)s.layersDeduped,
@@ -965,12 +957,9 @@ main(int argc, char **argv)
                     (unsigned long long)s.modelEvals,
                     (unsigned long long)s.naiveModelEvals,
                     s.reduction());
-        std::printf("cache: L0 %llu hits / %llu misses, L1 %llu "
-                    "hits / %llu misses\n",
-                    (unsigned long long)s.l0Hits,
-                    (unsigned long long)s.l0Misses,
-                    (unsigned long long)s.l1Hits,
-                    (unsigned long long)s.l1Misses);
+        std::printf("frontier memo: %llu hits / %llu misses\n",
+                    (unsigned long long)s.frontHits,
+                    (unsigned long long)s.frontMisses);
         std::printf("pruned: %llu tilings (%llu whole dataflows), "
                     "deduped: %llu layer instances (%llu "
                     "cross-model)\n",
@@ -1120,14 +1109,15 @@ main(int argc, char **argv)
         }
     }
 
-    // The bounded-cache acceptance number (schema 5's cache_eviction
-    // section): a frontier replay at 2x over capacity must evict
-    // (the bound is real), respect the byte budget, and still answer
-    // warm frontier lookups within 10 points of the unbounded ideal
-    // — the cost-aware eviction order protects the expensive memos.
-    const EvictionNumbers evict = sweepCacheEviction();
+    // The bounded-cache acceptance number (schema 6's cache_eviction
+    // section): a frontier + segmentation replay at 2x over capacity
+    // must evict (the bound is real), respect the byte budget, and
+    // still answer warm segment lookups within 10 points of the
+    // unbounded ideal — the cost-aware eviction order protects the
+    // expensive memos.
+    const EvictionNumbers evict = sweepCacheEviction(rn50);
     std::printf("cache_eviction: working set %llu B, cap %llu B, "
-                "warm frontier hit rate %.1f%% bounded vs %.1f%% "
+                "warm segment hit rate %.1f%% bounded vs %.1f%% "
                 "unbounded, %llu evictions, %llu B resident\n",
                 (unsigned long long)evict.workingSetBytes,
                 (unsigned long long)evict.capBytes,

@@ -43,31 +43,32 @@ bitsDouble(std::uint64_t u)
 
 /**
  * Canonical description of everything a cache file stores, in field
- * order. Any change to makeCacheKey's layout or to the serialized
- * LayerResult/FrontierPoint fields MUST be reflected here so that
- * stale files are rejected instead of misread.
+ * order. Any change to the key layouts or to the serialized
+ * FrontierPoint/segment fields MUST be reflected here so that stale
+ * files are rejected instead of misread.
  */
 const char kCacheFileSchema[] =
-    "CacheKey{words[32]:rows,cols,l1Kb,freqGhz,dram.bandwidthGBs,"
+    "FrontierKey{words[32]:rows,cols,l1Kb,freqGhz,dram.bandwidthGBs,"
     "dram.energyPerBytePj,dram.burstBytes,numPpus,dataBits,l2X,l2Y,"
     "naiveFusion,dataflows4b<=16,kind,n,ic,oc,oh,ow,kh,kw,stride,m,k,"
-    "nOut,batchAmortized,ppu,elems,dataflow,tm,tn,tk}"
+    "nOut,batchAmortized,ppu,elems,sentinel,K,0,0}"
     "LayerResult{cycles,utilization,dramBytes,energyPj,macs,"
     "memoryBound}"
-    "FrontierKey{mapping:=sentinel,K,0,0}"
     "FrontierPoint{dataflow,tm,tn,tk,LayerResult,seq}"
     "SegmentKey{hw13,sentinel2,stageCount,tag[stageCount]}"
     "SegmentStage{sig15,cols,mapping4,LayerResult}"
     "SegmentCost{feasible,cycles,energyPj,dramBytes,bufferBytes,"
     "nocBytes,nocEnergyPj,sramEnergyPj,dramBytesSaved}"
-    "Header16{magic,version,schema,generation,slots/count x3,"
-    "heapWords,totalWords,rsv2,bodyCrc32,headerCrc32}"
+    "Header16{magic,version,schema,generation,slots/count x2,"
+    "heapWords,totalWords,rsv4,bodyCrc32,headerCrc32}"
     "SlotTable{pow2,open-addressed,entryIndex+1}"
-    "Entries{scalar:key32+result6;front:key32,points,heapOff;"
-    "seg:key32,stages,heapOff}Heap{front:points*11;seg:stages*26+9}";
+    "Entries{front:key32,points,heapOff;seg:key32,stages,heapOff}"
+    "Heap{front:points*11;seg:stages*26+9}";
 
 constexpr std::uint64_t kCacheFileMagic = 0x4c45474f44534543ull;
-/** v5: mmap-able snapshot — fixed 16-word header (generation stamp,
+/** v6: the per-mapping scalar region is gone — frontier and segment
+ *  regions only, the header shrinks its per-kind words to two pairs.
+ *  v5: mmap-able snapshot — fixed 16-word header (generation stamp,
  *  header+body CRC32), per-kind open-addressed slot tables,
  *  fixed-stride entry arrays, variable-length heap. The same bytes
  *  back loadEx (merge) and the shared read-mostly tier (probe in
@@ -76,19 +77,17 @@ constexpr std::uint64_t kCacheFileMagic = 0x4c45474f44534543ull;
  *  v3: segment-entry section appended (inter-layer pipelining).
  *  v2: frontier-entry section appended (PR 4). Older files are
  *  rejected by the version check — deliberate cold start. */
-constexpr std::uint64_t kCacheFileVersion = 5;
+constexpr std::uint64_t kCacheFileVersion = 6;
 
-/** Mapping-slot sentinel marking a frontier key. No per-mapping key
- *  can carry it: real dataflow tags are small enum values. */
+/** Sentinel words of the two key layouts. Frontier and segment keys
+ *  live in separate tables; the sentinels keep each layout
+ *  self-describing in the file. */
 constexpr std::uint64_t kFrontierKeySentinel = ~0ull;
-
-/** Sentinel word marking a segment key, distinct from the frontier
- *  sentinel so the three key spaces stay disjoint. */
 constexpr std::uint64_t kSegmentKeySentinel = ~0ull - 1;
 
 /**
  * CRC32 (IEEE 802.3, reflected 0xEDB88320) over a byte range — the
- * header/body checksums of cache format v5. Table-driven; computed
+ * header/body checksums of the cache file. Table-driven; computed
  * identically at save and load so any flipped bit is caught even
  * when the size prechecks still pass.
  */
@@ -111,27 +110,25 @@ crc32Of(const char *data, std::size_t n)
     return c ^ 0xFFFFFFFFu;
 }
 
-// ---- v5 layout constants (all sizes in 64-bit words) ----------------
+// ---- v6 layout constants (all sizes in 64-bit words) ----------------
 
 /** Header word indices. Every header word except the trailing
  *  headerCrc itself is covered by headerCrc, so a flip anywhere in
- *  the 128-byte header (reserved words included) is caught. */
+ *  the 128-byte header (reserved words included) is caught. Words
+ *  0..3 keep their v5 positions, so an older file still reads as
+ *  Stale rather than Corrupt. */
 enum : std::size_t
 {
     kHdrMagic = 0,
     kHdrVersion = 1,
     kHdrSchema = 2,
     kHdrGeneration = 3,
-    kHdrScalarSlots = 4,
-    kHdrScalarCount = 5,
-    kHdrFrontSlots = 6,
-    kHdrFrontCount = 7,
-    kHdrSegSlots = 8,
-    kHdrSegCount = 9,
-    kHdrHeapWords = 10,
-    kHdrTotalWords = 11,
-    kHdrReserved0 = 12,
-    kHdrReserved1 = 13,
+    kHdrFrontSlots = 4,
+    kHdrFrontCount = 5,
+    kHdrSegSlots = 6,
+    kHdrSegCount = 7,
+    kHdrHeapWords = 8,
+    kHdrTotalWords = 9,
     kHdrBodyCrc = 14,
     kHdrHeaderCrc = 15,
     kHeaderWords = 16,
@@ -149,12 +146,9 @@ constexpr std::uint64_t kSegmentCostWords = 9;
 constexpr std::uint64_t kSegmentStageWords =
     LayerSignature::kWords + 1 + 4 + kResultWords;
 
-/** Entry strides in the fixed-width arrays. */
-constexpr std::uint64_t kScalarEntryWords = kKeyWords + kResultWords;
-/** key, pointCount, heap offset. */
-constexpr std::uint64_t kFrontEntryWords = kKeyWords + 2;
-/** key, stageCount, heap offset. */
-constexpr std::uint64_t kSegEntryWords = kKeyWords + 2;
+/** Entry stride of both fixed-width arrays: key, item count (points
+ *  or stages), heap offset. */
+constexpr std::uint64_t kEntryWords = kKeyWords + 2;
 
 /** Open-addressed table sizing: power of two, load factor <= 1/2
  *  (so probes terminate fast and the table can never fill). */
@@ -172,21 +166,15 @@ slotCountFor(std::uint64_t entries)
 // ---- exact serialized entry footprints (byte accounting) ------------
 
 std::uint64_t
-scalarEntryBytes()
-{
-    return kScalarEntryWords * 8;
-}
-
-std::uint64_t
 frontierEntryBytes(std::size_t points)
 {
-    return (kFrontEntryWords + points * kFrontierPointWords) * 8;
+    return (kEntryWords + points * kFrontierPointWords) * 8;
 }
 
 std::uint64_t
 segmentEntryBytes(std::size_t stages)
 {
-    return (kSegEntryWords + stages * kSegmentStageWords +
+    return (kEntryWords + stages * kSegmentStageWords +
             kSegmentCostWords) *
            8;
 }
@@ -287,7 +275,7 @@ hwPrefix(const HardwareConfig &hw, CacheKey *key)
     std::size_t i = 0;
     auto put = [&](std::uint64_t w) {
         if (i >= key->words.size())
-            panic("makeCacheKey: key word capacity exceeded — grow "
+            panic("cache key: word capacity exceeded — grow "
                   "CacheKey::words for the newly keyed field");
         key->words[i++] = w;
     };
@@ -310,34 +298,13 @@ hwPrefix(const HardwareConfig &hw, CacheKey *key)
     // 16 tags; a longer list would shift earlier tags out and let two
     // distinct configs collide on one key, so it is a hard error.
     if (hw.dataflows.size() > 16)
-        panic("makeCacheKey: more than 16 dataflow tags cannot be "
+        panic("cache key: more than 16 dataflow tags cannot be "
               "packed into one key word — spill to a second word "
               "before keying such configs");
     std::uint64_t dfs = 0;
     for (DataflowTag t : hw.dataflows)
         dfs = (dfs << 4) | (std::uint64_t(t) + 1);
     put(dfs);
-    return i;
-}
-
-/**
- * Fill the shared hardware + layer sections of a key; returns the
- * next free word index so callers append their own mapping section.
- */
-std::size_t
-keyPrefix(const HardwareConfig &hw, const Layer &l, CacheKey *key)
-{
-    std::size_t i = hwPrefix(hw, key);
-    // Layer shape (name and repeat excluded on purpose). Sourced
-    // from the canonical LayerSignature serialization, so the
-    // layer-class dedup and the cache key can never key on
-    // different field sets.
-    for (std::uint64_t w : layerSignature(l).words()) {
-        if (i >= key->words.size())
-            panic("makeCacheKey: key word capacity exceeded — grow "
-                  "CacheKey::words for the newly keyed field");
-        key->words[i++] = w;
-    }
     return i;
 }
 
@@ -353,29 +320,21 @@ CacheKey::computeHash() const
 }
 
 CacheKey
-makeCacheKey(const HardwareConfig &hw, const Layer &l,
-             const Mapping &map)
-{
-    CacheKey key;
-    std::size_t i = keyPrefix(hw, l, &key);
-    // Mapping.
-    key.words[i++] = std::uint64_t(map.dataflow);
-    key.words[i++] = std::uint64_t(map.tm);
-    key.words[i++] = std::uint64_t(map.tn);
-    key.words[i++] = std::uint64_t(map.tk);
-    key.hashValue = key.computeHash();
-    return key;
-}
-
-CacheKey
 makeFrontierKey(const HardwareConfig &hw, const Layer &l,
                 std::size_t k)
 {
     CacheKey key;
-    std::size_t i = keyPrefix(hw, l, &key);
-    // Sentinel mapping section: (sentinel, K, 0, 0). The sentinel is
-    // not a representable dataflow tag, so frontier and per-mapping
-    // keys occupy disjoint key spaces.
+    std::size_t i = hwPrefix(hw, &key);
+    if (i + LayerSignature::kWords + 4 > key.words.size())
+        panic("cache key: word capacity exceeded — grow "
+              "CacheKey::words for the newly keyed field");
+    // Layer shape (name and repeat excluded on purpose). Sourced
+    // from the canonical LayerSignature serialization, so the
+    // layer-class dedup and the cache key can never key on
+    // different field sets.
+    for (std::uint64_t w : layerSignature(l).words())
+        key.words[i++] = w;
+    // Tail: (sentinel, K, 0, 0).
     key.words[i++] = kFrontierKeySentinel;
     key.words[i++] = std::uint64_t(k);
     key.words[i++] = 0;
@@ -419,16 +378,243 @@ makeSegmentKey(const HardwareConfig &hw,
     return key;
 }
 
+// ---- one validated view of a v6 image ------------------------------
+
+namespace
+{
+
+/**
+ * Validated, non-owning view of one v6 image: header, the frontier
+ * and segment (slot table, entry array) regions, and the heap. THE
+ * integrity check — loadEx() parses the bytes it read and
+ * SharedSnapshot the pages it mapped through this one parser, so
+ * the merge and probe paths can never disagree on what is corrupt.
+ * After a Loaded parse every count, slot, and heap extent is in
+ * range, so the readers below trust the image structurally; probes
+ * still bound their walk so even a logically inconsistent table
+ * terminates.
+ */
+class ImageView
+{
+  public:
+    /** Validate `bytes` bytes of words; Loaded, Stale or Corrupt. */
+    CacheLoadStatus parse(const std::uint64_t *words, std::size_t bytes)
+    {
+        w_ = words;
+        if (bytes < kHeaderWords * 8 || bytes % 8 != 0 ||
+            w_[kHdrMagic] != kCacheFileMagic)
+            return CacheLoadStatus::Corrupt;
+        // A wrong version or schema on an intact magic word is a file
+        // from another build — a DELIBERATE cold start, not
+        // corruption (so loadOrQuarantine won't destroy a
+        // downgrade's still-good file). v5-and-earlier files land
+        // here: their word 1 is the old version stamp.
+        if (w_[kHdrVersion] != kCacheFileVersion ||
+            w_[kHdrSchema] != CostCache::schemaHash())
+            return CacheLoadStatus::Stale;
+        const char *b = reinterpret_cast<const char *>(w_);
+        if (w_[kHdrHeaderCrc] != crc32Of(b, (kHeaderWords - 1) * 8) ||
+            w_[kHdrTotalWords] * 8 != bytes)
+            return CacheLoadStatus::Corrupt;
+        const std::uint64_t fSlots = w_[kHdrFrontSlots];
+        const std::uint64_t fCount = w_[kHdrFrontCount];
+        const std::uint64_t gSlots = w_[kHdrSegSlots];
+        const std::uint64_t gCount = w_[kHdrSegCount];
+        const std::uint64_t heapWords = w_[kHdrHeapWords];
+        // Counts are cross-checked against the file length before
+        // any region arithmetic (divide, never multiply, so a
+        // hostile count cannot overflow the check).
+        const std::uint64_t maxWords = bytes / 8;
+        if (fCount > maxWords / kEntryWords ||
+            gCount > maxWords / kEntryWords || fSlots > maxWords ||
+            gSlots > maxWords || heapWords > maxWords ||
+            fSlots != slotCountFor(fCount) ||
+            gSlots != slotCountFor(gCount))
+            return CacheLoadStatus::Corrupt;
+        frontSlotsAt_ = kHeaderWords;
+        frontEntriesAt_ = frontSlotsAt_ + fSlots;
+        segSlotsAt_ = frontEntriesAt_ + fCount * kEntryWords;
+        segEntriesAt_ = segSlotsAt_ + gSlots;
+        heapAt_ = segEntriesAt_ + gCount * kEntryWords;
+        // The regions must consume the file exactly — trailing bytes
+        // mean a corrupt length/count somewhere.
+        if (heapAt_ + heapWords != maxWords ||
+            w_[kHdrBodyCrc] != crc32Of(b + kHeaderWords * 8,
+                                       bytes - kHeaderWords * 8))
+            return CacheLoadStatus::Corrupt;
+        // Slot values index entries; heap references stay in range.
+        auto slotsOk = [&](std::uint64_t at, std::uint64_t n,
+                           std::uint64_t count) {
+            for (std::uint64_t i = 0; i < n; ++i)
+                if (w_[at + i] > count)
+                    return false;
+            return true;
+        };
+        if (!slotsOk(frontSlotsAt_, fSlots, fCount) ||
+            !slotsOk(segSlotsAt_, gSlots, gCount))
+            return CacheLoadStatus::Corrupt;
+        for (std::uint64_t e = 0; e < fCount; ++e) {
+            const std::uint64_t points = itemsOf(frontierEntry(e));
+            const std::uint64_t off = heapOffOf(frontierEntry(e));
+            // save() never writes an empty frontier; reject it here
+            // rather than panicking mid-sweep later.
+            if (points == 0 ||
+                points > heapWords / kFrontierPointWords ||
+                off > heapWords - points * kFrontierPointWords)
+                return CacheLoadStatus::Corrupt;
+        }
+        for (std::uint64_t e = 0; e < gCount; ++e) {
+            const std::uint64_t stages = itemsOf(segmentEntry(e));
+            const std::uint64_t off = heapOffOf(segmentEntry(e));
+            // A segment record always has >= 2 stages.
+            if (stages < 2 || heapWords < kSegmentCostWords ||
+                stages > (heapWords - kSegmentCostWords) /
+                             kSegmentStageWords ||
+                off > heapWords - kSegmentCostWords -
+                          stages * kSegmentStageWords)
+                return CacheLoadStatus::Corrupt;
+        }
+        return CacheLoadStatus::Loaded;
+    }
+
+    std::uint64_t generation() const { return w_[kHdrGeneration]; }
+    std::uint64_t frontierCount() const { return w_[kHdrFrontCount]; }
+    std::uint64_t segmentCount() const { return w_[kHdrSegCount]; }
+
+    /** Word offset of frontier / segment entry `e`. */
+    std::uint64_t frontierEntry(std::uint64_t e) const
+    {
+        return frontEntriesAt_ + e * kEntryWords;
+    }
+    std::uint64_t segmentEntry(std::uint64_t e) const
+    {
+        return segEntriesAt_ + e * kEntryWords;
+    }
+
+    /** The key stored at entry offset `at` (hash recomputed — never
+     *  trusted from disk). */
+    CacheKey keyAt(std::uint64_t at) const
+    {
+        CacheKey key;
+        std::copy(w_ + at, w_ + at + kKeyWords, key.words.begin());
+        key.hashValue = key.computeHash();
+        return key;
+    }
+
+    void readFrontier(std::uint64_t at,
+                      std::vector<FrontierPoint> *out) const
+    {
+        const std::uint64_t points = itemsOf(at);
+        const std::uint64_t *heap = w_ + heapAt_ + heapOffOf(at);
+        out->clear();
+        out->reserve(std::size_t(points));
+        for (std::uint64_t p = 0; p < points; ++p)
+            out->push_back(
+                readFrontierPoint(heap + p * kFrontierPointWords));
+    }
+
+    void readSegment(std::uint64_t at, SegmentRecord *out) const
+    {
+        const std::size_t stages = std::size_t(itemsOf(at));
+        const std::uint64_t *sw = w_ + heapAt_ + heapOffOf(at);
+        out->id.resize(stages);
+        out->mappings.resize(stages);
+        out->results.resize(stages);
+        for (std::size_t st = 0; st < stages; ++st) {
+            std::copy(sw, sw + LayerSignature::kWords,
+                      out->id[st].sig.begin());
+            sw += LayerSignature::kWords;
+            out->id[st].cols = *sw++;
+            out->mappings[st].dataflow = DataflowTag(sw[0]);
+            out->mappings[st].tm = Int(sw[1]);
+            out->mappings[st].tn = Int(sw[2]);
+            out->mappings[st].tk = Int(sw[3]);
+            out->results[st] = readResult(sw + 4);
+            sw += 4 + kResultWords;
+        }
+        out->cost = readSegmentCost(sw);
+    }
+
+    bool lookupFrontier(const CacheKey &key,
+                        std::vector<FrontierPoint> *out) const
+    {
+        const std::uint64_t at =
+            probe(frontSlotsAt_, w_[kHdrFrontSlots], frontEntriesAt_,
+                  key);
+        if (at == kNone)
+            return false;
+        readFrontier(at, out);
+        return true;
+    }
+
+    /** A stored record whose exact per-stage identity differs
+     *  (hashed-tag collision) reads as a miss, same as L1. */
+    bool lookupSegment(const CacheKey &key,
+                       const std::vector<SegmentKeyId> &stages,
+                       SegmentRecord *out) const
+    {
+        const std::uint64_t at = probe(
+            segSlotsAt_, w_[kHdrSegSlots], segEntriesAt_, key);
+        if (at == kNone || itemsOf(at) != stages.size())
+            return false;
+        readSegment(at, out);
+        return out->id == stages;
+    }
+
+  private:
+    static constexpr std::uint64_t kNone = ~0ull;
+
+    std::uint64_t itemsOf(std::uint64_t at) const
+    {
+        return w_[at + kKeyWords];
+    }
+    std::uint64_t heapOffOf(std::uint64_t at) const
+    {
+        return w_[at + kKeyWords + 1];
+    }
+
+    /**
+     * Open-addressed probe: returns the word offset of the matching
+     * entry, or kNone. Linear probing over the power-of-two slot
+     * table; a zero slot ends the chain (load factor <= 1/2
+     * guarantees empties exist).
+     */
+    std::uint64_t probe(std::uint64_t slotsAt, std::uint64_t slots,
+                        std::uint64_t entriesAt,
+                        const CacheKey &key) const
+    {
+        if (slots == 0)
+            return kNone;
+        const std::uint64_t mask = slots - 1;
+        std::uint64_t idx = key.hashValue & mask;
+        for (std::uint64_t walked = 0; walked <= mask; ++walked) {
+            const std::uint64_t slot = w_[slotsAt + idx];
+            if (slot == 0)
+                return kNone;
+            const std::uint64_t at = entriesAt + (slot - 1) * kEntryWords;
+            if (std::equal(key.words.begin(), key.words.end(),
+                           w_ + at))
+                return at;
+            idx = (idx + 1) & mask;
+        }
+        return kNone;
+    }
+
+    const std::uint64_t *w_ = nullptr;
+    std::uint64_t frontSlotsAt_ = 0, frontEntriesAt_ = 0;
+    std::uint64_t segSlotsAt_ = 0, segEntriesAt_ = 0;
+    std::uint64_t heapAt_ = 0;
+};
+
+} // namespace
+
 // ---- shared read-mostly tier: the mmap'd snapshot --------------------
 
 /**
- * One immutable mapping of a published v5 snapshot. Fully validated
- * at map() time (header CRC, body CRC, every count/offset bound), so
- * probes can trust the image structurally; probes still bound their
- * walk so even a logically inconsistent table terminates. Instances
- * are shared_ptr-held: a remap publishes a new instance while
- * in-flight probes finish on the old one, which unmaps when its
- * last reference drops.
+ * One immutable mapping of a published v6 snapshot, fully validated
+ * at map() time through ImageView. Instances are shared_ptr-held: a
+ * remap publishes a new instance while in-flight probes finish on
+ * the old one, which unmaps when its last reference drops.
  */
 class SharedSnapshot
 {
@@ -443,10 +629,10 @@ class SharedSnapshot
     SharedSnapshot &operator=(const SharedSnapshot &) = delete;
 
     /**
-     * mmap `path` read-only and validate it as a v5 snapshot.
-     * Returns null unless the file exists, passes both CRCs, and
-     * every structural bound holds — an unpublished, stale, or
-     * damaged file is simply "no shared tier yet".
+     * mmap `path` read-only and validate it as a v6 snapshot.
+     * Returns null unless the file exists and parses Loaded — an
+     * unpublished, stale, or damaged file is simply "no shared tier
+     * yet".
      */
     static std::shared_ptr<const SharedSnapshot>
     map(const std::string &path)
@@ -455,9 +641,7 @@ class SharedSnapshot
         if (fd < 0)
             return nullptr;
         struct stat st = {};
-        if (::fstat(fd, &st) != 0 || st.st_size <= 0 ||
-            std::size_t(st.st_size) < kHeaderWords * 8 ||
-            std::size_t(st.st_size) % 8 != 0) {
+        if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
             ::close(fd);
             return nullptr;
         }
@@ -469,274 +653,49 @@ class SharedSnapshot
         std::shared_ptr<SharedSnapshot> snap(new SharedSnapshot);
         snap->base_ = base;
         snap->bytes_ = std::size_t(st.st_size);
-        snap->w_ = static_cast<const std::uint64_t *>(base);
-        if (!snap->validate())
+        if (snap->view_.parse(static_cast<const std::uint64_t *>(base),
+                              snap->bytes_) != CacheLoadStatus::Loaded)
             return nullptr; // Destructor unmaps.
         return snap;
     }
 
-    std::uint64_t generation() const
-    {
-        return w_[kHdrGeneration];
-    }
-
-    bool lookupScalar(const CacheKey &key, LayerResult *out) const
-    {
-        const std::uint64_t at =
-            probe(scalarSlotsAt_, w_[kHdrScalarSlots],
-                  scalarEntriesAt_, kScalarEntryWords, key);
-        if (at == kNone)
-            return false;
-        *out = readResult(w_ + at + kKeyWords);
-        return true;
-    }
-
-    bool lookupFrontier(const CacheKey &key,
-                        std::vector<FrontierPoint> *out) const
-    {
-        const std::uint64_t at =
-            probe(frontSlotsAt_, w_[kHdrFrontSlots], frontEntriesAt_,
-                  kFrontEntryWords, key);
-        if (at == kNone)
-            return false;
-        const std::uint64_t points = w_[at + kKeyWords];
-        const std::uint64_t *heap =
-            w_ + heapAt_ + w_[at + kKeyWords + 1];
-        out->clear();
-        out->reserve(std::size_t(points));
-        for (std::uint64_t p = 0; p < points; ++p)
-            out->push_back(
-                readFrontierPoint(heap + p * kFrontierPointWords));
-        return true;
-    }
-
-    bool lookupSegment(const CacheKey &key,
-                       const std::vector<SegmentKeyId> &stages,
-                       SegmentRecord *out) const
-    {
-        const std::uint64_t at =
-            probe(segSlotsAt_, w_[kHdrSegSlots], segEntriesAt_,
-                  kSegEntryWords, key);
-        if (at == kNone)
-            return false;
-        const std::uint64_t stageCount = w_[at + kKeyWords];
-        if (stageCount != stages.size())
-            return false;
-        const std::uint64_t *heap =
-            w_ + heapAt_ + w_[at + kKeyWords + 1];
-        // Verify the exact per-stage identity before decoding — a
-        // hashed-tag collision must read as a miss, same as L1.
-        for (std::uint64_t st = 0; st < stageCount; ++st) {
-            const std::uint64_t *sw = heap + st * kSegmentStageWords;
-            if (!std::equal(stages[st].sig.begin(),
-                            stages[st].sig.end(), sw) ||
-                sw[LayerSignature::kWords] != stages[st].cols)
-                return false;
-        }
-        out->id.resize(std::size_t(stageCount));
-        out->mappings.resize(std::size_t(stageCount));
-        out->results.resize(std::size_t(stageCount));
-        for (std::uint64_t st = 0; st < stageCount; ++st) {
-            const std::uint64_t *sw = heap + st * kSegmentStageWords;
-            std::copy(sw, sw + LayerSignature::kWords,
-                      out->id[st].sig.begin());
-            sw += LayerSignature::kWords;
-            out->id[st].cols = *sw++;
-            out->mappings[st].dataflow = DataflowTag(sw[0]);
-            out->mappings[st].tm = Int(sw[1]);
-            out->mappings[st].tn = Int(sw[2]);
-            out->mappings[st].tk = Int(sw[3]);
-            out->results[st] = readResult(sw + 4);
-        }
-        out->cost = readSegmentCost(
-            heap + stageCount * kSegmentStageWords);
-        return true;
-    }
+    const ImageView &view() const { return view_; }
 
   private:
     SharedSnapshot() = default;
 
-    static constexpr std::uint64_t kNone = ~0ull;
-
-    /**
-     * Open-addressed probe: returns the word offset of the matching
-     * entry, or kNone. Linear probing over the power-of-two slot
-     * table; a zero slot ends the chain (load factor <= 1/2
-     * guarantees empties exist).
-     */
-    std::uint64_t probe(std::uint64_t slotsAt, std::uint64_t slots,
-                        std::uint64_t entriesAt,
-                        std::uint64_t entryWords,
-                        const CacheKey &key) const
-    {
-        if (slots == 0)
-            return kNone;
-        const std::uint64_t mask = slots - 1;
-        std::uint64_t idx = key.hashValue & mask;
-        for (std::uint64_t walked = 0; walked <= mask; ++walked) {
-            const std::uint64_t slot = w_[slotsAt + idx];
-            if (slot == 0)
-                return kNone;
-            const std::uint64_t at =
-                entriesAt + (slot - 1) * entryWords;
-            if (std::equal(key.words.begin(), key.words.end(),
-                           w_ + at))
-                return at;
-            idx = (idx + 1) & mask;
-        }
-        return kNone;
-    }
-
-    /** Full structural + checksum validation, run once at map(). */
-    bool validate()
-    {
-        if (w_[kHdrMagic] != kCacheFileMagic ||
-            w_[kHdrVersion] != kCacheFileVersion ||
-            w_[kHdrSchema] != CostCache::schemaHash())
-            return false;
-        const char *b = static_cast<const char *>(base_);
-        if (w_[kHdrHeaderCrc] !=
-            crc32Of(b, (kHeaderWords - 1) * 8))
-            return false;
-        const std::uint64_t totalWords = w_[kHdrTotalWords];
-        if (totalWords * 8 != bytes_)
-            return false;
-        const std::uint64_t sSlots = w_[kHdrScalarSlots];
-        const std::uint64_t sCount = w_[kHdrScalarCount];
-        const std::uint64_t fSlots = w_[kHdrFrontSlots];
-        const std::uint64_t fCount = w_[kHdrFrontCount];
-        const std::uint64_t gSlots = w_[kHdrSegSlots];
-        const std::uint64_t gCount = w_[kHdrSegCount];
-        const std::uint64_t heapWords = w_[kHdrHeapWords];
-        // Region layout, overflow-safe: counts were written by us,
-        // but a corrupt header must fail cleanly, so re-derive the
-        // total from bounded pieces and compare.
-        const std::uint64_t maxWords = bytes_ / 8;
-        auto fits = [&](std::uint64_t n, std::uint64_t stride) {
-            return stride == 0 || n <= maxWords / stride;
-        };
-        if (!fits(sCount, kScalarEntryWords) ||
-            !fits(fCount, kFrontEntryWords) ||
-            !fits(gCount, kSegEntryWords) || sSlots > maxWords ||
-            fSlots > maxWords || gSlots > maxWords ||
-            heapWords > maxWords)
-            return false;
-        if (sSlots != slotCountFor(sCount) ||
-            fSlots != slotCountFor(fCount) ||
-            gSlots != slotCountFor(gCount))
-            return false;
-        scalarSlotsAt_ = kHeaderWords;
-        scalarEntriesAt_ = scalarSlotsAt_ + sSlots;
-        frontSlotsAt_ =
-            scalarEntriesAt_ + sCount * kScalarEntryWords;
-        frontEntriesAt_ = frontSlotsAt_ + fSlots;
-        segSlotsAt_ = frontEntriesAt_ + fCount * kFrontEntryWords;
-        segEntriesAt_ = segSlotsAt_ + gSlots;
-        heapAt_ = segEntriesAt_ + gCount * kSegEntryWords;
-        if (heapAt_ + heapWords != totalWords)
-            return false;
-        if (w_[kHdrBodyCrc] !=
-            crc32Of(b + kHeaderWords * 8,
-                    bytes_ - kHeaderWords * 8))
-            return false;
-        // Slot values index entries; heap references stay in range.
-        auto slotsOk = [&](std::uint64_t at, std::uint64_t n,
-                           std::uint64_t count) {
-            for (std::uint64_t i = 0; i < n; ++i)
-                if (w_[at + i] > count)
-                    return false;
-            return true;
-        };
-        if (!slotsOk(scalarSlotsAt_, sSlots, sCount) ||
-            !slotsOk(frontSlotsAt_, fSlots, fCount) ||
-            !slotsOk(segSlotsAt_, gSlots, gCount))
-            return false;
-        for (std::uint64_t e = 0; e < fCount; ++e) {
-            const std::uint64_t at =
-                frontEntriesAt_ + e * kFrontEntryWords;
-            const std::uint64_t points = w_[at + kKeyWords];
-            const std::uint64_t off = w_[at + kKeyWords + 1];
-            // save() never writes an empty frontier; reject it here
-            // rather than panicking mid-sweep later.
-            if (points == 0 ||
-                points > heapWords / kFrontierPointWords ||
-                off > heapWords - points * kFrontierPointWords)
-                return false;
-        }
-        for (std::uint64_t e = 0; e < gCount; ++e) {
-            const std::uint64_t at =
-                segEntriesAt_ + e * kSegEntryWords;
-            const std::uint64_t stages = w_[at + kKeyWords];
-            const std::uint64_t off = w_[at + kKeyWords + 1];
-            // A segment record always has >= 2 stages.
-            if (stages < 2 ||
-                stages > (heapWords - kSegmentCostWords) /
-                             kSegmentStageWords ||
-                off > heapWords - kSegmentCostWords -
-                          stages * kSegmentStageWords)
-                return false;
-        }
-        return true;
-    }
-
     void *base_ = nullptr;
     std::size_t bytes_ = 0;
-    const std::uint64_t *w_ = nullptr;
-    std::uint64_t scalarSlotsAt_ = 0, scalarEntriesAt_ = 0;
-    std::uint64_t frontSlotsAt_ = 0, frontEntriesAt_ = 0;
-    std::uint64_t segSlotsAt_ = 0, segEntriesAt_ = 0;
-    std::uint64_t heapAt_ = 0;
+    ImageView view_;
 };
 
 namespace
 {
 
 /**
- * Thread-local L0: direct-mapped open-addressing tables shared by
- * every CostCache a thread talks to (one table for scalar entries,
- * one for frontiers). Slots are tagged with the owning cache's
- * process-unique id and clear()-epoch; a mismatched tag is simply a
- * miss, so stale entries (other caches, cleared caches, reused
- * addresses — ids are never reused) cannot leak. Power-of-two sizes
- * so the index is a mask of the precomputed key hash.
+ * Thread-local frontier L0: a direct-mapped table shared by every
+ * CostCache a thread talks to. Slots are tagged with the owning
+ * cache's process-unique id and clear()-epoch; a mismatched tag is
+ * simply a miss, so stale entries (other caches, cleared caches,
+ * reused addresses — ids are never reused) cannot leak. Power-of-two
+ * size so the index is a mask of the precomputed key hash.
  */
-constexpr std::size_t kL0Slots = 4096;
 constexpr std::size_t kL0FrontSlots = 512;
 
-template <class V>
 struct L0Slot
 {
     bool used = false;
     std::uint64_t owner = 0;
     std::uint64_t epoch = 0;
     CacheKey key;
-    V val;
+    std::vector<FrontierPoint> val;
 };
 
-template <class V, std::size_t N>
-struct L0Table
+L0Slot &
+tlsFrontSlot(const CacheKey &key)
 {
-    std::vector<L0Slot<V>> slots{N};
-
-    L0Slot<V> &slotFor(const CacheKey &key)
-    {
-        return slots[std::size_t(key.hashValue) & (N - 1)];
-    }
-};
-
-L0Table<LayerResult, kL0Slots> &
-tlsL0()
-{
-    thread_local L0Table<LayerResult, kL0Slots> table;
-    return table;
-}
-
-L0Table<std::vector<FrontierPoint>, kL0FrontSlots> &
-tlsFrontL0()
-{
-    thread_local L0Table<std::vector<FrontierPoint>, kL0FrontSlots>
-        table;
-    return table;
+    thread_local std::vector<L0Slot> slots(kL0FrontSlots);
+    return slots[std::size_t(key.hashValue) & (kL0FrontSlots - 1)];
 }
 
 std::uint64_t
@@ -819,13 +778,12 @@ CostCache::enforceCapacity()
     };
 
     // Rank every resident entry by (kind priority, last use):
-    // scalars first — they are cheap to rebuild (one model eval)
-    // and dominate the byte budget — then frontiers (each one
-    // reconstructs from a whole per-layer sweep), then segment
-    // records (whole per-stage searches). LRU within each kind.
+    // frontiers first — each one rebuilds from a single per-layer
+    // sweep — then segment records, which stand for whole per-stage
+    // searches plus a pipeline evaluation. LRU within each kind.
     struct Cand
     {
-        std::uint8_t kind; // 0 scalar, 1 frontier, 2 segment.
+        bool segment;
         std::uint64_t lastUse;
         std::uint32_t shard;
         CacheKey key;
@@ -836,22 +794,28 @@ CostCache::enforceCapacity()
     for (std::uint32_t si = 0; si < shards_.size(); ++si) {
         Shard &s = *shards_[si];
         std::lock_guard<std::mutex> lk(s.mu);
-        for (const auto &kv : s.map)
-            cands.push_back(
-                {0, kv.second.lastUse, si, kv.first});
         for (const auto &kv : s.fronts)
-            cands.push_back(
-                {1, kv.second.lastUse, si, kv.first});
+            cands.push_back({false, kv.second.lastUse, si, kv.first});
         for (const auto &kv : s.segs)
-            cands.push_back(
-                {2, kv.second.lastUse, si, kv.first});
+            cands.push_back({true, kv.second.lastUse, si, kv.first});
     }
     std::sort(cands.begin(), cands.end(),
               [](const Cand &a, const Cand &b) {
-                  return a.kind != b.kind ? a.kind < b.kind
-                                          : a.lastUse < b.lastUse;
+                  return a.segment != b.segment ? b.segment
+                                                : a.lastUse < b.lastUse;
               });
 
+    // Erase `c` from its table unless it was touched since the
+    // snapshot above (then it is hot again — skip it this batch);
+    // returns the bytes freed.
+    auto evict = [](auto &table, const Cand &c) -> std::uint64_t {
+        auto it = table.find(c.key);
+        if (it == table.end() || it->second.lastUse != c.lastUse)
+            return 0;
+        const std::uint64_t bytes = it->second.bytes;
+        table.erase(it);
+        return bytes;
+    };
     for (const Cand &c : cands) {
         if (!overTarget())
             break;
@@ -859,30 +823,7 @@ CostCache::enforceCapacity()
         std::uint64_t freed = 0;
         {
             std::lock_guard<std::mutex> lk(s.mu);
-            // Re-check the recency stamp: an entry touched since
-            // the snapshot above is hot again — skip it this batch.
-            if (c.kind == 0) {
-                auto it = s.map.find(c.key);
-                if (it != s.map.end() &&
-                    it->second.lastUse == c.lastUse) {
-                    freed = it->second.bytes;
-                    s.map.erase(it);
-                }
-            } else if (c.kind == 1) {
-                auto it = s.fronts.find(c.key);
-                if (it != s.fronts.end() &&
-                    it->second.lastUse == c.lastUse) {
-                    freed = it->second.bytes;
-                    s.fronts.erase(it);
-                }
-            } else {
-                auto it = s.segs.find(c.key);
-                if (it != s.segs.end() &&
-                    it->second.lastUse == c.lastUse) {
-                    freed = it->second.bytes;
-                    s.segs.erase(it);
-                }
-            }
+            freed = c.segment ? evict(s.segs, c) : evict(s.fronts, c);
         }
         if (freed != 0) {
             residentBytes_.fetch_sub(freed,
@@ -917,11 +858,11 @@ CostCache::mapShared(bool countRemap)
     if (!snap)
         return false;
     std::lock_guard<std::mutex> lk(sharedMu_);
-    if (shared_ && shared_->generation() == snap->generation())
+    if (shared_ && shared_->view().generation() == snap->view().generation())
         return false; // Raced with another refresher; keep theirs.
     const bool hadPrevious = shared_ != nullptr;
     shared_ = std::move(snap);
-    sharedGen_.store(shared_->generation(),
+    sharedGen_.store(shared_->view().generation(),
                      std::memory_order_relaxed);
     if (countRemap && hadPrevious)
         remaps_.fetch_add(1, std::memory_order_relaxed);
@@ -983,96 +924,13 @@ CostCache::sharedGeneration() const
 
 // ---- lookups / inserts ----------------------------------------------
 
-bool
-CostCache::lookup(const CacheKey &key, LayerResult *out)
-{
-    Shard &s = shardFor(key);
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        auto it = s.map.find(key);
-        if (it != s.map.end()) {
-            it->second.lastUse = tick();
-            bumpStat(hits_, &StatsContext::cacheHits);
-            *out = it->second.val;
-            return true;
-        }
-    }
-    // L1 miss: probe the mapped snapshot (no locks held — the
-    // shared_ptr keeps the image alive). A shared hit counts as a
-    // hit AND a sharedHit; it is NOT copied into L1, so the
-    // snapshot's pages stay shared across processes (callers going
-    // through lookupFast still promote into their L0).
-    if (std::shared_ptr<const SharedSnapshot> snap =
-            sharedSnapshot()) {
-        if (snap->lookupScalar(key, out)) {
-            bumpStat(hits_, &StatsContext::cacheHits);
-            bumpStat(sharedHits_, &StatsContext::sharedHits);
-            return true;
-        }
-    }
-    bumpStat(misses_, &StatsContext::cacheMisses);
-    return false;
-}
-
 void
-CostCache::insert(const CacheKey &key, const LayerResult &result)
+CostCache::admitted(std::uint64_t bytes)
 {
-    Shard &s = shardFor(key);
-    bool created;
-    {
-        std::lock_guard<std::mutex> lk(s.mu);
-        auto r = s.map.emplace(key, Entry<LayerResult>{});
-        created = r.second;
-        if (created) {
-            r.first->second.val = result;
-            r.first->second.bytes = scalarEntryBytes();
-            r.first->second.lastUse = tick();
-        }
-    }
-    if (created) {
-        inserts_.fetch_add(1, std::memory_order_relaxed);
-        residentBytes_.fetch_add(scalarEntryBytes(),
-                                 std::memory_order_relaxed);
-        entryCount_.fetch_add(1, std::memory_order_relaxed);
-        if (overCapacity())
-            enforceCapacity();
-    }
-}
-
-bool
-CostCache::lookupFast(const CacheKey &key, LayerResult *out)
-{
-    const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-    auto &slot = tlsL0().slotFor(key);
-    if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
-        slot.key == key) {
-        bumpStat(l0Hits_, &StatsContext::l0Hits);
-        *out = slot.val;
-        return true;
-    }
-    bumpStat(l0Misses_, &StatsContext::l0Misses);
-    if (!lookup(key, out))
-        return false;
-    // Promote the L1 (or shared-tier) hit so this worker's next
-    // lookup is lock-free.
-    slot.used = true;
-    slot.owner = id_;
-    slot.epoch = epoch;
-    slot.key = key;
-    slot.val = *out;
-    return true;
-}
-
-void
-CostCache::insertFast(const CacheKey &key, const LayerResult &result)
-{
-    insert(key, result);
-    auto &slot = tlsL0().slotFor(key);
-    slot.used = true;
-    slot.owner = id_;
-    slot.epoch = epoch_.load(std::memory_order_relaxed);
-    slot.key = key;
-    slot.val = result;
+    residentBytes_.fetch_add(bytes, std::memory_order_relaxed);
+    entryCount_.fetch_add(1, std::memory_order_relaxed);
+    if (overCapacity())
+        enforceCapacity();
 }
 
 bool
@@ -1090,9 +948,13 @@ CostCache::lookupFrontier(const CacheKey &key,
             return true;
         }
     }
+    // L1 miss: probe the mapped snapshot (no locks held — the
+    // shared_ptr keeps the image alive). A shared hit is NOT copied
+    // into L1, so the snapshot's pages stay shared across processes
+    // (lookupFrontierFast still promotes it into the caller's L0).
     if (std::shared_ptr<const SharedSnapshot> snap =
             sharedSnapshot()) {
-        if (snap->lookupFrontier(key, out)) {
+        if (snap->view().lookupFrontier(key, out)) {
             bumpStat(frontHits_, &StatsContext::frontHits);
             bumpStat(sharedFrontHits_,
                      &StatsContext::sharedFrontHits);
@@ -1123,10 +985,7 @@ CostCache::insertFrontier(const CacheKey &key,
     }
     if (created) {
         frontInserts_.fetch_add(1, std::memory_order_relaxed);
-        residentBytes_.fetch_add(bytes, std::memory_order_relaxed);
-        entryCount_.fetch_add(1, std::memory_order_relaxed);
-        if (overCapacity())
-            enforceCapacity();
+        admitted(bytes);
     }
 }
 
@@ -1135,7 +994,7 @@ CostCache::lookupFrontierFast(const CacheKey &key,
                               std::vector<FrontierPoint> *out)
 {
     const std::uint64_t epoch = epoch_.load(std::memory_order_relaxed);
-    auto &slot = tlsFrontL0().slotFor(key);
+    L0Slot &slot = tlsFrontSlot(key);
     if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
         slot.key == key) {
         bumpStat(frontHits_, &StatsContext::frontHits);
@@ -1144,6 +1003,8 @@ CostCache::lookupFrontierFast(const CacheKey &key,
     }
     if (!lookupFrontier(key, out))
         return false;
+    // Promote the L1 (or shared-tier) hit so this worker's next
+    // lookup is lock-free.
     slot.used = true;
     slot.owner = id_;
     slot.epoch = epoch;
@@ -1157,7 +1018,7 @@ CostCache::insertFrontierFast(const CacheKey &key,
                               const std::vector<FrontierPoint> &points)
 {
     insertFrontier(key, points);
-    auto &slot = tlsFrontL0().slotFor(key);
+    L0Slot &slot = tlsFrontSlot(key);
     slot.used = true;
     slot.owner = id_;
     slot.epoch = epoch_.load(std::memory_order_relaxed);
@@ -1183,7 +1044,7 @@ CostCache::lookupSegment(const CacheKey &key,
     }
     if (std::shared_ptr<const SharedSnapshot> snap =
             sharedSnapshot()) {
-        if (snap->lookupSegment(key, stages, out)) {
+        if (snap->view().lookupSegment(key, stages, out)) {
             bumpStat(segHits_, &StatsContext::segHits);
             bumpStat(sharedSegHits_, &StatsContext::sharedSegHits);
             return true;
@@ -1214,22 +1075,8 @@ CostCache::insertSegment(const CacheKey &key, const SegmentRecord &rec)
     }
     if (created) {
         segInserts_.fetch_add(1, std::memory_order_relaxed);
-        residentBytes_.fetch_add(bytes, std::memory_order_relaxed);
-        entryCount_.fetch_add(1, std::memory_order_relaxed);
-        if (overCapacity())
-            enforceCapacity();
+        admitted(bytes);
     }
-}
-
-std::size_t
-CostCache::size() const
-{
-    std::size_t n = 0;
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mu);
-        n += s->map.size();
-    }
-    return n;
 }
 
 std::size_t
@@ -1311,7 +1158,7 @@ fsyncParentDir(const std::string &path)
 
 /**
  * Generation the publish of `body` (the new image past the header)
- * to `path` should stamp: the current valid v5 generation + 1, or 1
+ * to `path` should stamp: the current valid v6 generation + 1, or 1
  * on a fresh/invalid path. A byte-identical body REUSES the current
  * generation — the whole file then comes out bit-identical, so an
  * idempotent republish neither perturbs the artifact nor makes
@@ -1352,7 +1199,7 @@ generationFor(const std::string &path, const char *body,
     return same ? gen : gen + 1;
 }
 
-/** Build a v5 open-addressed slot table over per-entry key hashes. */
+/** Build an open-addressed slot table over per-entry key hashes. */
 std::vector<std::uint64_t>
 buildSlotTable(const std::vector<std::uint64_t> &hashes)
 {
@@ -1378,36 +1225,28 @@ CostCache::save(const std::string &path) const
     LEGO_TRACE_SPAN_ARG("cache.save", "cache", "entries", size());
     // Snapshot under the shard locks first so the header counts are
     // exact even if writers race the save.
-    std::vector<std::pair<CacheKey, LayerResult>> entries;
     std::vector<std::pair<CacheKey, std::vector<FrontierPoint>>>
         frontEntries;
     std::vector<std::pair<CacheKey, SegmentRecord>> segEntries;
     for (const auto &s : shards_) {
         std::lock_guard<std::mutex> lk(s->mu);
-        for (const auto &kv : s->map)
-            entries.emplace_back(kv.first, kv.second.val);
         for (const auto &kv : s->fronts)
             frontEntries.emplace_back(kv.first, kv.second.val);
         for (const auto &kv : s->segs)
             segEntries.emplace_back(kv.first, kv.second.val);
     }
 
-    // Serialize the whole mmap-able image in memory: header, three
+    // Serialize the whole mmap-able image in memory: header, two
     // (slot table, fixed-stride entry array) pairs, then the heap
     // holding frontier point lists and segment stage/cost blocks.
     // The CRCs are patched into the header last.
-    std::vector<std::uint64_t> scalarHashes, frontHashes, segHashes;
-    scalarHashes.reserve(entries.size());
-    for (const auto &kv : entries)
-        scalarHashes.push_back(kv.first.hashValue);
+    std::vector<std::uint64_t> frontHashes, segHashes;
     frontHashes.reserve(frontEntries.size());
     for (const auto &kv : frontEntries)
         frontHashes.push_back(kv.first.hashValue);
     segHashes.reserve(segEntries.size());
     for (const auto &kv : segEntries)
         segHashes.push_back(kv.first.hashValue);
-    const std::vector<std::uint64_t> scalarSlots =
-        buildSlotTable(scalarHashes);
     const std::vector<std::uint64_t> frontSlots =
         buildSlotTable(frontHashes);
     const std::vector<std::uint64_t> segSlots =
@@ -1420,10 +1259,9 @@ CostCache::save(const std::string &path) const
         heapWords += kv.second.id.size() * kSegmentStageWords +
                      kSegmentCostWords;
     const std::uint64_t totalWords =
-        kHeaderWords + scalarSlots.size() +
-        entries.size() * kScalarEntryWords + frontSlots.size() +
-        frontEntries.size() * kFrontEntryWords + segSlots.size() +
-        segEntries.size() * kSegEntryWords + heapWords;
+        kHeaderWords + frontSlots.size() +
+        frontEntries.size() * kEntryWords + segSlots.size() +
+        segEntries.size() * kEntryWords + heapWords;
 
     Blob out;
     out.bytes.reserve(std::size_t(totalWords) * 8);
@@ -1431,26 +1269,17 @@ CostCache::save(const std::string &path) const
     out.word(kCacheFileVersion);
     out.word(schemaHash());
     out.word(0); // Generation, patched below (needs the body bytes).
-    out.word(std::uint64_t(scalarSlots.size()));
-    out.word(std::uint64_t(entries.size()));
     out.word(std::uint64_t(frontSlots.size()));
     out.word(std::uint64_t(frontEntries.size()));
     out.word(std::uint64_t(segSlots.size()));
     out.word(std::uint64_t(segEntries.size()));
     out.word(heapWords);
     out.word(totalWords);
-    out.word(0); // Reserved.
-    out.word(0); // Reserved.
+    for (std::size_t r = kHdrTotalWords + 1; r < kHdrBodyCrc; ++r)
+        out.word(0); // Reserved.
     out.word(0); // Body CRC, patched below.
     out.word(0); // Header CRC, patched below.
 
-    for (std::uint64_t w : scalarSlots)
-        out.word(w);
-    for (const auto &kv : entries) {
-        for (std::uint64_t w : kv.first.words)
-            out.word(w);
-        putResult(out, kv.second);
-    }
     // Heap offsets are assigned in entry order: all frontier point
     // lists first, then segment stage/cost blocks.
     std::uint64_t heapAt = 0;
@@ -1562,177 +1391,37 @@ CostCache::loadEx(const std::string &path)
     std::ifstream in(path, std::ios::binary | std::ios::ate);
     if (!in)
         return CacheLoadStatus::Missing;
-    const std::streamoff fileBytes = in.tellg();
+    const std::size_t fileBytes = std::size_t(in.tellg());
     in.seekg(0);
-    std::string bytes(std::size_t(fileBytes), '\0');
-    if (fileBytes > 0 && !in.read(&bytes[0], fileBytes))
+    // Read into words, so the image is 8-byte aligned exactly like
+    // a mapped snapshot.
+    std::vector<std::uint64_t> words((fileBytes + 7) / 8);
+    if (fileBytes > 0 &&
+        !in.read(reinterpret_cast<char *>(words.data()),
+                 std::streamsize(fileBytes)))
         return CacheLoadStatus::Corrupt;
     if (obs::Failpoints::instance().fire("cache.load.corrupt"))
         return CacheLoadStatus::Corrupt;
 
-    if (bytes.size() < kHeaderWords * 8 || bytes.size() % 8 != 0)
-        return CacheLoadStatus::Corrupt;
-    std::uint64_t hdr[kHeaderWords];
-    std::memcpy(hdr, bytes.data(), sizeof(hdr));
-    if (hdr[kHdrMagic] != kCacheFileMagic)
-        return CacheLoadStatus::Corrupt;
-    // A wrong version or schema on an intact header is a file from
-    // another build — a DELIBERATE cold start, not corruption (so
-    // loadOrQuarantine won't destroy a downgrade's still-good file).
-    // v4-and-earlier files land here: their word 1 is the old
-    // version stamp.
-    if (hdr[kHdrVersion] != kCacheFileVersion)
-        return CacheLoadStatus::Stale;
-    if (hdr[kHdrSchema] != schemaHash())
-        return CacheLoadStatus::Stale;
-
-    // Everything past the version/schema gate is integrity: lean on
-    // SharedSnapshot::map's single validation path (CRCs, counts,
-    // offsets, per-entry bounds) by writing the bytes... no — the
-    // bytes are already here; validate them in place through a
-    // private file-less path would duplicate the logic. Instead,
-    // validate structurally exactly as the snapshot does, then merge
-    // the entry arrays.
-    const char *b = bytes.data();
-    if (hdr[kHdrHeaderCrc] != crc32Of(b, (kHeaderWords - 1) * 8))
-        return CacheLoadStatus::Corrupt;
-    if (hdr[kHdrTotalWords] * 8 != bytes.size())
-        return CacheLoadStatus::Corrupt;
-    if (hdr[kHdrBodyCrc] != crc32Of(b + kHeaderWords * 8,
-                                    bytes.size() - kHeaderWords * 8))
-        return CacheLoadStatus::Corrupt;
-    const std::uint64_t maxWords = bytes.size() / 8;
-    const std::uint64_t sSlots = hdr[kHdrScalarSlots];
-    const std::uint64_t sCount = hdr[kHdrScalarCount];
-    const std::uint64_t fSlots = hdr[kHdrFrontSlots];
-    const std::uint64_t fCount = hdr[kHdrFrontCount];
-    const std::uint64_t gSlots = hdr[kHdrSegSlots];
-    const std::uint64_t gCount = hdr[kHdrSegCount];
-    const std::uint64_t heapWords = hdr[kHdrHeapWords];
-    // Counts are cross-checked against the file length before any
-    // allocation (divide, never multiply, so a hostile count cannot
-    // overflow the check).
-    if (sCount > maxWords / kScalarEntryWords ||
-        fCount > maxWords / kFrontEntryWords ||
-        gCount > maxWords / kSegEntryWords || sSlots > maxWords ||
-        fSlots > maxWords || gSlots > maxWords ||
-        heapWords > maxWords)
-        return CacheLoadStatus::Corrupt;
-    if (sSlots != slotCountFor(sCount) ||
-        fSlots != slotCountFor(fCount) ||
-        gSlots != slotCountFor(gCount))
-        return CacheLoadStatus::Corrupt;
-    const std::uint64_t scalarEntriesAt = kHeaderWords + sSlots;
-    const std::uint64_t frontSlotsAt =
-        scalarEntriesAt + sCount * kScalarEntryWords;
-    const std::uint64_t frontEntriesAt = frontSlotsAt + fSlots;
-    const std::uint64_t segSlotsAt =
-        frontEntriesAt + fCount * kFrontEntryWords;
-    const std::uint64_t segEntriesAt = segSlotsAt + gSlots;
-    const std::uint64_t heapAt = segEntriesAt + gCount * kSegEntryWords;
-    // The regions must consume the file exactly — trailing bytes
-    // mean a corrupt length/count somewhere, so reject wholesale.
-    if (heapAt + heapWords != hdr[kHdrTotalWords])
-        return CacheLoadStatus::Corrupt;
-    const std::uint64_t *w =
-        reinterpret_cast<const std::uint64_t *>(bytes.data());
-    auto slotsOk = [&](std::uint64_t at, std::uint64_t n,
-                       std::uint64_t count) {
-        for (std::uint64_t i = 0; i < n; ++i)
-            if (w[at + i] > count)
-                return false;
-        return true;
-    };
-    if (!slotsOk(kHeaderWords, sSlots, sCount) ||
-        !slotsOk(frontSlotsAt, fSlots, fCount) ||
-        !slotsOk(segSlotsAt, gSlots, gCount))
-        return CacheLoadStatus::Corrupt;
-
-    // Decode fully before touching the cache: a corrupt file must
-    // not leave a half-merged state behind.
-    std::vector<std::pair<CacheKey, LayerResult>> entries;
-    entries.reserve(std::size_t(sCount));
-    for (std::uint64_t e = 0; e < sCount; ++e) {
-        const std::uint64_t *ew =
-            w + scalarEntriesAt + e * kScalarEntryWords;
-        CacheKey key;
-        std::copy(ew, ew + kKeyWords, key.words.begin());
-        key.hashValue = key.computeHash();
-        entries.emplace_back(key, readResult(ew + kKeyWords));
+    // The parse validates every count, offset and both CRCs, so the
+    // merge below cannot fail half-way: a rejected file leaves the
+    // cache untouched.
+    ImageView view;
+    const CacheLoadStatus st = view.parse(words.data(), fileBytes);
+    if (st != CacheLoadStatus::Loaded)
+        return st;
+    std::vector<FrontierPoint> points;
+    for (std::uint64_t e = 0; e < view.frontierCount(); ++e) {
+        const std::uint64_t at = view.frontierEntry(e);
+        view.readFrontier(at, &points);
+        insertFrontier(view.keyAt(at), points);
     }
-
-    std::vector<std::pair<CacheKey, std::vector<FrontierPoint>>>
-        frontEntriesV;
-    frontEntriesV.reserve(std::size_t(fCount));
-    for (std::uint64_t e = 0; e < fCount; ++e) {
-        const std::uint64_t *ew =
-            w + frontEntriesAt + e * kFrontEntryWords;
-        CacheKey key;
-        std::copy(ew, ew + kKeyWords, key.words.begin());
-        key.hashValue = key.computeHash();
-        const std::uint64_t points = ew[kKeyWords];
-        const std::uint64_t off = ew[kKeyWords + 1];
-        // save() never writes an empty frontier; accepting one here
-        // would defer the failure to a mid-sweep panic instead of
-        // the contractual load-time wholesale rejection.
-        if (points == 0 ||
-            points > heapWords / kFrontierPointWords ||
-            off > heapWords - points * kFrontierPointWords)
-            return CacheLoadStatus::Corrupt;
-        std::vector<FrontierPoint> pts;
-        pts.reserve(std::size_t(points));
-        for (std::uint64_t p = 0; p < points; ++p)
-            pts.push_back(readFrontierPoint(
-                w + heapAt + off + p * kFrontierPointWords));
-        frontEntriesV.emplace_back(key, std::move(pts));
+    SegmentRecord rec;
+    for (std::uint64_t e = 0; e < view.segmentCount(); ++e) {
+        const std::uint64_t at = view.segmentEntry(e);
+        view.readSegment(at, &rec);
+        insertSegment(view.keyAt(at), rec);
     }
-
-    std::vector<std::pair<CacheKey, SegmentRecord>> segEntriesV;
-    segEntriesV.reserve(std::size_t(gCount));
-    for (std::uint64_t e = 0; e < gCount; ++e) {
-        const std::uint64_t *ew =
-            w + segEntriesAt + e * kSegEntryWords;
-        CacheKey key;
-        std::copy(ew, ew + kKeyWords, key.words.begin());
-        key.hashValue = key.computeHash();
-        const std::uint64_t stages = ew[kKeyWords];
-        const std::uint64_t off = ew[kKeyWords + 1];
-        // A segment record always has >= 2 stages; anything else is
-        // corruption.
-        if (stages < 2 ||
-            stages > (heapWords - kSegmentCostWords) /
-                         kSegmentStageWords ||
-            off > heapWords - kSegmentCostWords -
-                      stages * kSegmentStageWords)
-            return CacheLoadStatus::Corrupt;
-        SegmentRecord rec;
-        rec.id.resize(std::size_t(stages));
-        rec.mappings.resize(std::size_t(stages));
-        rec.results.resize(std::size_t(stages));
-        for (std::uint64_t st = 0; st < stages; ++st) {
-            const std::uint64_t *sw =
-                w + heapAt + off + st * kSegmentStageWords;
-            std::copy(sw, sw + LayerSignature::kWords,
-                      rec.id[st].sig.begin());
-            sw += LayerSignature::kWords;
-            rec.id[st].cols = *sw++;
-            rec.mappings[st].dataflow = DataflowTag(sw[0]);
-            rec.mappings[st].tm = Int(sw[1]);
-            rec.mappings[st].tn = Int(sw[2]);
-            rec.mappings[st].tk = Int(sw[3]);
-            rec.results[st] = readResult(sw + 4);
-        }
-        rec.cost = readSegmentCost(
-            w + heapAt + off + stages * kSegmentStageWords);
-        segEntriesV.emplace_back(key, std::move(rec));
-    }
-
-    for (const auto &kv : entries)
-        insert(kv.first, kv.second);
-    for (const auto &kv : frontEntriesV)
-        insertFrontier(kv.first, kv.second);
-    for (const auto &kv : segEntriesV)
-        insertSegment(kv.first, kv.second);
     return CacheLoadStatus::Loaded;
 }
 
@@ -1766,7 +1455,6 @@ CostCache::clear()
 {
     for (auto &s : shards_) {
         std::lock_guard<std::mutex> lk(s->mu);
-        s->map.clear();
         s->fronts.clear();
         s->segs.clear();
     }
@@ -1778,11 +1466,6 @@ CostCache::clear()
     epoch_.fetch_add(1, std::memory_order_relaxed);
     residentBytes_.store(0);
     entryCount_.store(0);
-    hits_.store(0);
-    misses_.store(0);
-    l0Hits_.store(0);
-    l0Misses_.store(0);
-    inserts_.store(0);
     frontHits_.store(0);
     frontMisses_.store(0);
     frontInserts_.store(0);
@@ -1791,7 +1474,6 @@ CostCache::clear()
     segInserts_.store(0);
     quarantined_.store(0);
     evictions_.store(0);
-    sharedHits_.store(0);
     sharedFrontHits_.store(0);
     sharedSegHits_.store(0);
     remaps_.store(0);

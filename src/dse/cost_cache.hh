@@ -1,28 +1,24 @@
 /**
  * @file
- * Memoization cache for layer cost evaluations, keyed on the exact
- * (hardware, layer shape, mapping) triple. Repeated layer shapes —
- * e.g. ResNet50's repeated bottleneck blocks or the per-head
- * attention GEMMs — are costed once and shared across DSE worker
- * threads through sharded hash maps (one mutex per shard, keys
- * distributed by hash so contention stays low).
+ * Memoization cache for the DSE's per-layer answers. Two entry kinds
+ * share one sharded table set (one mutex per shard, keys distributed
+ * by hash so contention stays low):
  *
- * Besides scalar (key -> LayerResult) entries the cache memoizes
- * whole per-layer mapping frontiers, keyed on (hardware, layer
- * shape, K): a frontier hit skips the entire mapping sweep of that
- * layer. Frontier entries have their own thread-local L0 in front of
- * the sharded table and persist in the same cache file. Segment
- * entries (hardware + per-stage layer/slice identity -> resolved
- * stage mappings + pipelined cost) memoize the segmentation search
- * the same way and joined the file in format version 3.
+ *  - **frontier** entries: the whole mapping frontier of one
+ *    (hardware, layer shape, K). A hit skips the layer's entire
+ *    mapping sweep, at any K — repeated layer shapes (ResNet50's
+ *    bottleneck blocks, the per-head attention GEMMs) are searched
+ *    once per hardware instance. A thread-local L0 sits in front.
+ *  - **segment** entries (hardware + per-stage layer/slice identity
+ *    -> resolved stage mappings + pipelined cost) memoize the
+ *    segmentation search the same way.
  *
- * Production-scale behaviors (format v5):
+ * Production-scale behaviors (format v6):
  *  - **Bounded memory** — setCapacity() bounds the sharded (L1)
  *    tier by resident bytes and/or entry count; inserts past the
- *    bound trigger epoch-batched, cost-aware LRU eviction (scalar
- *    entries first, then frontiers, then segments — LRU order
- *    within each kind), with exact evictions()/residentBytes()
- *    counters.
+ *    bound trigger epoch-batched, cost-aware LRU eviction
+ *    (frontiers first, then segments — LRU order within each kind),
+ *    with exact evictions()/residentBytes() counters.
  *  - **Shared read-mostly tier** — the persistent file is an
  *    mmap-able, offset-based, CRC-covered snapshot holding
  *    open-addressed hash tables, so N processes attachShared() the
@@ -59,14 +55,15 @@ namespace dse
 {
 
 /**
- * Canonical serialization of everything runLayer/archCost read from
- * (HardwareConfig, Layer, Mapping). Exact-match equality: a hash
- * collision can never return a wrong result.
+ * Canonical fixed-width cache key: the serialized hardware and layer
+ * sections plus a kind-specific tail (see makeFrontierKey and
+ * makeSegmentKey). Exact-match equality: a hash collision can never
+ * return a wrong result.
  */
 struct CacheKey
 {
     std::array<std::uint64_t, 32> words{};
-    std::uint64_t hashValue = 0; //!< Filled once by makeCacheKey.
+    std::uint64_t hashValue = 0; //!< Filled once by the key builder.
 
     bool operator==(const CacheKey &o) const { return words == o.words; }
 
@@ -82,15 +79,10 @@ struct CacheKeyHash
     }
 };
 
-/** Build the canonical key for one evaluation. */
-CacheKey makeCacheKey(const HardwareConfig &hw, const Layer &l,
-                      const Mapping &map);
-
 /**
- * Build the canonical key of a (hw, layer, K) frontier memo entry.
- * Shares the hardware/layer sections with makeCacheKey; the mapping
- * section is replaced by a sentinel plus K, so frontier keys can
- * never collide with per-mapping keys.
+ * Build the canonical key of a (hw, layer, K) frontier memo entry:
+ * every hardware field but the cosmetic name, the layer's canonical
+ * signature (name and repeat excluded), then a sentinel plus K.
  */
 CacheKey makeFrontierKey(const HardwareConfig &hw, const Layer &l,
                          std::size_t k);
@@ -135,9 +127,9 @@ struct SegmentRecord
 
 /**
  * Build the canonical key of a segment memo entry: the hardware
- * section of makeCacheKey, a segment sentinel (disjoint from both
- * per-mapping and frontier key spaces), the stage count, and one
- * hashed tag word per stage (FNV-1a over the stage's SegmentKeyId).
+ * section of makeFrontierKey, a segment sentinel, the stage count,
+ * and one hashed tag word per stage (FNV-1a over the stage's
+ * SegmentKeyId).
  * Panics past the key's tag-word capacity (17 stages) — far above
  * any sensible SegmentOptions::maxStages.
  */
@@ -147,16 +139,10 @@ CacheKey makeSegmentKey(const HardwareConfig &hw,
 /**
  * Point-in-time snapshot of every CostCache counter, with a
  * subtraction operator so clients can report exact per-window deltas
- * (the serve loop's per-request stats epochs, the engine's explore()
- * stats, the perf bench's per-sweep numbers).
+ * (the perf bench's per-sweep numbers).
  */
 struct CacheCounters
 {
-    std::uint64_t hits = 0;        //!< Sharded (L1) scalar hits.
-    std::uint64_t misses = 0;      //!< Sharded (L1) scalar misses.
-    std::uint64_t l0Hits = 0;      //!< Thread-local scalar hits.
-    std::uint64_t l0Misses = 0;    //!< Thread-local scalar misses.
-    std::uint64_t inserts = 0;     //!< Scalar entries created.
     std::uint64_t frontHits = 0;   //!< Frontier hits (any level).
     std::uint64_t frontMisses = 0; //!< Frontier full-sweep misses.
     std::uint64_t frontInserts = 0;//!< Frontier entries created.
@@ -164,11 +150,10 @@ struct CacheCounters
     std::uint64_t segMisses = 0;   //!< Segment-record misses.
     std::uint64_t segInserts = 0;  //!< Segment entries created.
     std::uint64_t quarantined = 0; //!< Corrupt files set aside.
-    std::uint64_t evictions = 0;   //!< Entries evicted (all kinds).
+    std::uint64_t evictions = 0;   //!< Entries evicted (both kinds).
     /** Shared mmap-tier hits; each is also counted in the matching
-     *  hits/frontHits/segHits total, so hit-rate math is unchanged
-     *  and these attribute WHERE the hit was served from. */
-    std::uint64_t sharedHits = 0;
+     *  frontHits/segHits total, so hit-rate math is unchanged and
+     *  these attribute WHERE the hit was served from. */
     std::uint64_t sharedFrontHits = 0;
     std::uint64_t sharedSegHits = 0;
     std::uint64_t remaps = 0;      //!< Shared-snapshot remaps.
@@ -181,11 +166,6 @@ struct CacheCounters
     CacheCounters operator-(const CacheCounters &o) const
     {
         CacheCounters d;
-        d.hits = hits - o.hits;
-        d.misses = misses - o.misses;
-        d.l0Hits = l0Hits - o.l0Hits;
-        d.l0Misses = l0Misses - o.l0Misses;
-        d.inserts = inserts - o.inserts;
         d.frontHits = frontHits - o.frontHits;
         d.frontMisses = frontMisses - o.frontMisses;
         d.frontInserts = frontInserts - o.frontInserts;
@@ -194,7 +174,6 @@ struct CacheCounters
         d.segInserts = segInserts - o.segInserts;
         d.quarantined = quarantined - o.quarantined;
         d.evictions = evictions - o.evictions;
-        d.sharedHits = sharedHits - o.sharedHits;
         d.sharedFrontHits = sharedFrontHits - o.sharedFrontHits;
         d.sharedSegHits = sharedSegHits - o.sharedSegHits;
         d.remaps = remaps - o.remaps;
@@ -220,42 +199,38 @@ enum class CacheLoadStatus
 class SharedSnapshot;
 
 /**
- * Sharded, thread-safe memo table with thread-local L0s in front and
- * an optional mmap'd read-mostly snapshot behind, holding scalar
- * (key -> LayerResult), frontier (key -> point list), and segment
- * entries.
+ * Sharded, thread-safe memo table holding two entry kinds: per-layer
+ * mapping frontiers (key -> point list) and pipelined-segment
+ * records. A thread-local L0 sits in front of the frontier table and
+ * an optional mmap'd read-mostly snapshot behind both.
  *
  * Three levels:
- *  - **L0** — fixed-size, open-addressed (direct-mapped) tables in
- *    thread-local storage (one for scalar entries, one for
- *    frontiers). The common per-worker re-lookup takes zero locks:
- *    one hash index, one exact key compare. Entries are tagged with
- *    the owning cache's id and clear()-epoch, so a thread serving
- *    several caches (or a cache that was cleared) can never read a
- *    stale result. A stale L0 entry surviving an L1 eviction is
- *    benign: cached values are pure functions of their keys.
+ *  - **L0** — a fixed-size, direct-mapped frontier table in
+ *    thread-local storage. The common per-worker re-lookup takes
+ *    zero locks: one hash index, one exact key compare. Entries are
+ *    tagged with the owning cache's id and clear()-epoch, so a
+ *    thread serving several caches (or a cache that was cleared) can
+ *    never read a stale result. A stale L0 entry surviving an L1
+ *    eviction is benign: cached values are pure functions of their
+ *    keys.
  *  - **L1** — the sharded mutex-protected tables (one mutex per
  *    shard, keys distributed by hash). This is the level save()
  *    serializes and setCapacity() bounds; L0 is never serialized.
- *  - **Shared** — an optional read-only mmap of a published v5
+ *  - **Shared** — an optional read-only mmap of a published v6
  *    snapshot (attachShared), probed copy-free after an L1 miss.
  *    Hits promote into L0 only — never into L1 — so the snapshot's
  *    pages stay shared across every process mapping it.
  *
  * Counter contract (exact under any worker count; all relaxed
- * atomics): every lookupFast counts exactly one of l0Hits/l0Misses;
- * every L0 miss falls through to one L1 lookup, which counts exactly
- * one of hits/misses — so hits() + misses() == l0Misses() when all
- * traffic goes through lookupFast. A shared-tier hit counts in BOTH
- * hits() and sharedHits() (attribution, not a new denominator);
- * misses() therefore still means "missed every tier". inserts()
- * counts entries actually created (losing racers of a duplicate
- * insert are not counted), so inserts() == size() on a cache that
- * was never cleared or bounded; with a capacity set,
- * inserts() - evictions() == size(). Frontier counters are coarser:
- * frontHits() counts successful frontier lookups at any level,
- * frontMisses() counts lookups that had to fall through to a full
- * sweep, frontInserts() counts frontier entries actually created.
+ * atomics): every frontier lookup counts exactly one of
+ * frontHits/frontMisses, whichever level answers it, and every
+ * segment lookup exactly one of segHits/segMisses. A shared-tier hit
+ * counts in BOTH the kind's hit counter and its shared*Hits counter
+ * (attribution, not a new denominator), so a miss still means
+ * "missed every tier". frontInserts/segInserts count entries
+ * actually created (losing racers of a duplicate insert are not
+ * counted), so frontInserts() + segInserts() - evictions() == size()
+ * on a cache that was never cleared.
  */
 class CostCache
 {
@@ -271,39 +246,23 @@ class CostCache
     /**
      * Bound the sharded tier: `maxBytes` caps the total serialized
      * footprint (the exact bytes save() would write per entry, key
-     * included), `maxEntries` caps the entry count across all three
+     * included), `maxEntries` caps the entry count across both
      * kinds; 0 = unbounded (the default). An insert that exceeds a
      * bound triggers one epoch-batched eviction: entries are ranked
-     * (kind priority, last use) — scalars evicted first, then
-     * frontiers, then segments, LRU within each kind — and evicted
-     * until the tier is back under 7/8 of each bound, so inserts
-     * amortize to O(1) between batches. Rationale: a frontier entry
-     * reconstructs from hundreds of scalar evaluations and a
-     * segment record from whole per-stage searches, while scalar
-     * entries dominate the byte budget — evicting cheap-to-rebuild
-     * bulk first is what keeps the warm frontier-hit rate alive
-     * under memory pressure (bench_dse_perf's cache_eviction sweep
-     * gates this).
+     * (kind priority, last use) — frontiers evicted before segment
+     * records, LRU within each kind — and evicted until the tier is
+     * back under 7/8 of each bound, so inserts amortize to O(1)
+     * between batches. Rationale: a frontier rebuilds from one
+     * per-layer sweep, while a segment record stands for whole
+     * per-stage searches plus a pipeline evaluation, so keeping the
+     * records is what keeps warm segmentation answers alive under
+     * memory pressure (bench_dse_perf's cache_eviction sweep gates
+     * this).
      */
     void setCapacity(std::uint64_t maxBytes,
                      std::uint64_t maxEntries);
 
     /** @} */
-
-    /** Returns true and fills *out on a hit (counts a hit/miss). */
-    bool lookup(const CacheKey &key, LayerResult *out);
-
-    /** Insert (first writer wins; duplicates are identical anyway). */
-    void insert(const CacheKey &key, const LayerResult &result);
-
-    /**
-     * Two-level lookup: thread-local L0 first (no locks), then the
-     * sharded table (promoting the entry into L0 on an L1 hit).
-     */
-    bool lookupFast(const CacheKey &key, LayerResult *out);
-
-    /** insert() that also fills the caller's L0 slot. */
-    void insertFast(const CacheKey &key, const LayerResult &result);
 
     /** @name Frontier entries (keys from makeFrontierKey) @{ */
 
@@ -346,7 +305,7 @@ class CostCache
      * @name Shared read-mostly tier (mmap'd published snapshots)
      *
      * attachShared(path) remembers the snapshot path and maps it
-     * read-only if a valid v5 file is already there (a missing or
+     * read-only if a valid v6 file is already there (a missing or
      * invalid file just means "not yet published" — the next
      * refreshShared() picks it up). Probes hit the mapped image
      * in place: open-addressed in-file hash tables, no
@@ -373,11 +332,6 @@ class CostCache
 
     /** @} */
 
-    std::uint64_t hits() const { return hits_.load(); }
-    std::uint64_t misses() const { return misses_.load(); }
-    std::uint64_t l0Hits() const { return l0Hits_.load(); }
-    std::uint64_t l0Misses() const { return l0Misses_.load(); }
-    std::uint64_t inserts() const { return inserts_.load(); }
     std::uint64_t frontHits() const { return frontHits_.load(); }
     std::uint64_t frontMisses() const { return frontMisses_.load(); }
     std::uint64_t frontInserts() const { return frontInserts_.load(); }
@@ -386,7 +340,6 @@ class CostCache
     std::uint64_t segInserts() const { return segInserts_.load(); }
     std::uint64_t quarantined() const { return quarantined_.load(); }
     std::uint64_t evictions() const { return evictions_.load(); }
-    std::uint64_t sharedHits() const { return sharedHits_.load(); }
     std::uint64_t sharedFrontHits() const
     {
         return sharedFrontHits_.load();
@@ -403,16 +356,10 @@ class CostCache
     }
 
     /** Snapshot of all counters in one call (relaxed loads; exact
-     *  when no lookup is concurrently in flight, e.g. between
-     *  requests on the serve loop's dispatcher thread). */
+     *  when no lookup is concurrently in flight). */
     CacheCounters counters() const
     {
         CacheCounters c;
-        c.hits = hits();
-        c.misses = misses();
-        c.l0Hits = l0Hits();
-        c.l0Misses = l0Misses();
-        c.inserts = inserts();
         c.frontHits = frontHits();
         c.frontMisses = frontMisses();
         c.frontInserts = frontInserts();
@@ -421,7 +368,6 @@ class CostCache
         c.segInserts = segInserts();
         c.quarantined = quarantined();
         c.evictions = evictions();
-        c.sharedHits = sharedHits();
         c.sharedFrontHits = sharedFrontHits();
         c.sharedSegHits = sharedSegHits();
         c.remaps = remaps();
@@ -430,8 +376,8 @@ class CostCache
         return c;
     }
 
-    /** Scalar (per-mapping) entry count. */
-    std::size_t size() const;
+    /** Resident L1 entry count, both kinds. */
+    std::size_t size() const { return std::size_t(entryCount_.load()); }
     /** Frontier entry count. */
     std::size_t frontierCount() const;
     /** Segment entry count. */
@@ -442,24 +388,24 @@ class CostCache
      * @name Persistence (warm-starting model-zoo sweeps, and the
      * published form of the shared tier)
      *
-     * Versioned binary serialization of every scalar, frontier, and
-     * segment entry. The file header carries a magic word, a format
-     * version, and a schema hash over the serialized field layout,
-     * so a file written by an older build — different version OR
-     * different schema — is *rejected* (cold start), never misread.
-     * Format v5 is an mmap-able snapshot: a fixed header (with a
-     * monotonic generation stamp and header/body CRC32 words),
-     * per-kind open-addressed slot tables, fixed-stride entry
-     * arrays, and a variable-length heap — the same bytes serve
-     * loadEx() (merge into L1) and attachShared() (probe in place).
-     * save() fsyncs the temp file before the rename — a crash at any
-     * point leaves either the old valid file or the new valid file,
-     * never a torn one. Entries are host-endian; the magic word
-     * doubles as the endianness check.
+     * Versioned binary serialization of every frontier and segment
+     * entry. The file header carries a magic word, a format version,
+     * and a schema hash over the serialized field layout, so a file
+     * written by an older build — different version OR different
+     * schema — is *rejected* (cold start), never misread. Format v6
+     * is an mmap-able snapshot: a fixed header (with a monotonic
+     * generation stamp and header/body CRC32 words), per-kind
+     * open-addressed slot tables, fixed-stride entry arrays, and a
+     * variable-length heap — the same bytes serve loadEx() (merge
+     * into L1) and attachShared() (probe in place). save() fsyncs
+     * the temp file before the rename — a crash at any point leaves
+     * either the old valid file or the new valid file, never a torn
+     * one. Entries are host-endian; the magic word doubles as the
+     * endianness check.
      * @{
      */
 
-    /** Hash of the serialized CacheKey/LayerResult/frontier layout. */
+    /** Hash of the serialized CacheKey/frontier/segment layout. */
     static std::uint64_t schemaHash();
 
     /** On-disk format version save() writes and load() requires —
@@ -518,8 +464,6 @@ class CostCache
     struct Shard
     {
         std::mutex mu;
-        std::unordered_map<CacheKey, Entry<LayerResult>, CacheKeyHash>
-            map;
         std::unordered_map<CacheKey, Entry<std::vector<FrontierPoint>>,
                            CacheKeyHash>
             fronts;
@@ -538,6 +482,9 @@ class CostCache
         return tick_.fetch_add(1, std::memory_order_relaxed);
     }
 
+    /** Account one created entry of `bytes`; may start an eviction
+     *  batch. */
+    void admitted(std::uint64_t bytes);
     bool overCapacity() const;
     /** One epoch-batched eviction pass (serialized on evictMu_). */
     void enforceCapacity();
@@ -573,11 +520,6 @@ class CostCache
     std::atomic<bool> sharedAttached_{false};
     std::atomic<std::uint64_t> sharedGen_{0};
 
-    std::atomic<std::uint64_t> hits_{0};
-    std::atomic<std::uint64_t> misses_{0};
-    std::atomic<std::uint64_t> l0Hits_{0};
-    std::atomic<std::uint64_t> l0Misses_{0};
-    std::atomic<std::uint64_t> inserts_{0};
     std::atomic<std::uint64_t> frontHits_{0};
     std::atomic<std::uint64_t> frontMisses_{0};
     std::atomic<std::uint64_t> frontInserts_{0};
@@ -586,7 +528,6 @@ class CostCache
     std::atomic<std::uint64_t> segInserts_{0};
     std::atomic<std::uint64_t> quarantined_{0};
     std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> sharedHits_{0};
     std::atomic<std::uint64_t> sharedFrontHits_{0};
     std::atomic<std::uint64_t> sharedSegHits_{0};
     std::atomic<std::uint64_t> remaps_{0};

@@ -40,48 +40,30 @@ DseEngine::saveCache() const
     return cache_.save(opt_.cachePath);
 }
 
-StatsEpoch
-DseEngine::beginEpoch() const
-{
-    StatsEpoch e;
-    e.cache = cache_.counters();
-    e.eval = evaluator_.counters();
-    e.start = std::chrono::steady_clock::now();
-    return e;
-}
-
 DseStats
-DseEngine::statsSince(const StatsEpoch &e) const
+DseEngine::statsFrom(const StatsContext &ctx, double wallSeconds) const
 {
+    const auto get = [](const std::atomic<std::uint64_t> &v) {
+        return v.load(std::memory_order_relaxed);
+    };
     DseStats s;
-    const CacheCounters cc = cache_.counters() - e.cache;
-    s.cacheHits = cc.hits;
-    s.cacheMisses = cc.misses;
-    s.l0Hits = cc.l0Hits;
-    s.l0Misses = cc.l0Misses;
-    s.frontHits = cc.frontHits;
-    s.frontMisses = cc.frontMisses;
-    s.segHits = cc.segHits;
-    s.segMisses = cc.segMisses;
-    s.evictions = cc.evictions;
-    s.sharedHits = cc.sharedHits;
-    s.sharedFrontHits = cc.sharedFrontHits;
-    s.sharedSegHits = cc.sharedSegHits;
-    // Gauges carry the window-close reading (CacheCounters::operator-
-    // does not difference them).
-    s.residentBytes = cc.residentBytes;
-    s.generation = cc.generation;
-    const EvalCounters ec = evaluator_.counters();
-    s.modelEvals = ec.modelEvals - e.eval.modelEvals;
-    s.mappingsPruned = ec.mappingsPruned - e.eval.mappingsPruned;
-    s.dataflowsPruned = ec.dataflowsPruned - e.eval.dataflowsPruned;
-    s.layersDeduped = ec.layersDeduped - e.eval.layersDeduped;
-    s.crossModelDeduped =
-        ec.crossModelDeduped - e.eval.crossModelDeduped;
-    s.wallSeconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - e.start)
-            .count();
+    s.frontHits = get(ctx.frontHits);
+    s.frontMisses = get(ctx.frontMisses);
+    s.segHits = get(ctx.segHits);
+    s.segMisses = get(ctx.segMisses);
+    s.evictions = get(ctx.evictions);
+    s.sharedFrontHits = get(ctx.sharedFrontHits);
+    s.sharedSegHits = get(ctx.sharedSegHits);
+    s.modelEvals = get(ctx.modelEvals);
+    s.mappingsPruned = get(ctx.mappingsPruned);
+    s.dataflowsPruned = get(ctx.dataflowsPruned);
+    s.layersDeduped = get(ctx.layersDeduped);
+    s.crossModelDeduped = get(ctx.crossModelDeduped);
+    // Gauges are whole-cache readings, not per-call attributions (a
+    // StatsContext cannot carry a point-in-time footprint).
+    s.residentBytes = cache_.residentBytes();
+    s.generation = cache_.sharedGeneration();
+    s.wallSeconds = wallSeconds;
     return s;
 }
 
@@ -89,11 +71,6 @@ void
 DseEngine::publishMetrics(obs::MetricsRegistry &registry) const
 {
     const CacheCounters cc = cache_.counters();
-    registry.counter("dse.cache.l0_hits").set(cc.l0Hits);
-    registry.counter("dse.cache.l0_misses").set(cc.l0Misses);
-    registry.counter("dse.cache.l1_hits").set(cc.hits);
-    registry.counter("dse.cache.l1_misses").set(cc.misses);
-    registry.counter("dse.cache.inserts").set(cc.inserts);
     registry.counter("dse.cache.front_hits").set(cc.frontHits);
     registry.counter("dse.cache.front_misses").set(cc.frontMisses);
     registry.counter("dse.cache.front_inserts").set(cc.frontInserts);
@@ -102,7 +79,6 @@ DseEngine::publishMetrics(obs::MetricsRegistry &registry) const
     registry.counter("dse.cache.seg_inserts").set(cc.segInserts);
     registry.counter("dse.cache.quarantined").set(cc.quarantined);
     registry.counter("dse.cache.evictions").set(cc.evictions);
-    registry.counter("dse.cache.shared_hits").set(cc.sharedHits);
     registry.counter("dse.cache.shared_front_hits")
         .set(cc.sharedFrontHits);
     registry.counter("dse.cache.shared_seg_hits")
@@ -141,7 +117,12 @@ DseEngine::explore(const CandidateSpace &space, const Model &m,
 {
     LEGO_TRACE_SPAN_ARG("dse.explore", "dse", "space",
                         space.size());
-    const StatsEpoch epoch = beginEpoch();
+    // Every counter bumped while this scope (or a batch item's
+    // re-installed copy of it) is current credits this call — exact
+    // even if other engine calls run concurrently.
+    StatsContext statsCtx;
+    StatsContext::Scope statsScope(&statsCtx);
+    const auto start = std::chrono::steady_clock::now();
     DseResult res;
 
     StrategyOptions sopt;
@@ -190,6 +171,7 @@ DseEngine::explore(const CandidateSpace &space, const Model &m,
                             fresh.size());
         std::vector<DsePoint> points(fresh.size());
         pool_.parallelFor(fresh.size(), [&](std::size_t i) {
+            StatsContext::Scope scope(&statsCtx);
             points[i] =
                 evaluator_.evaluate(space.decode(fresh[i]), m,
                                     fresh[i]);
@@ -203,11 +185,14 @@ DseEngine::explore(const CandidateSpace &space, const Model &m,
             break;
     }
 
-    // Counter deltas through the shared epoch hooks; the
-    // strategy-level numbers accumulated above are preserved.
+    // Counters out of this call's context; the strategy-level numbers
+    // accumulated above are preserved.
     const std::size_t proposed = res.stats.proposed;
     const std::size_t evaluatedCount = res.stats.evaluated;
-    res.stats = statsSince(epoch);
+    res.stats = statsFrom(
+        statsCtx, std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count());
     res.stats.proposed = proposed;
     res.stats.evaluated = evaluatedCount;
     res.stats.pruned = strat->pruned();

@@ -17,11 +17,11 @@
 #ifndef LEGO_DSE_ENGINE_HH
 #define LEGO_DSE_ENGINE_HH
 
-#include <chrono>
 #include <mutex>
 
 #include "dse/evaluator.hh"
 #include "dse/segment_search.hh"
+#include "dse/stats_scope.hh"
 #include "dse/strategy.hh"
 #include "obs/metrics.hh"
 
@@ -83,12 +83,14 @@ struct DseStats
     std::size_t proposed = 0;  //!< Ids proposed by the strategy.
     std::size_t evaluated = 0; //!< Unique candidates actually scored.
     std::size_t pruned = 0;    //!< Skipped as infeasible (PrunedExhaustive).
-    std::uint64_t cacheHits = 0;   //!< Sharded (L1) cache hits.
-    std::uint64_t cacheMisses = 0; //!< Sharded (L1) cache misses.
-    std::uint64_t l0Hits = 0;      //!< Thread-local L0 hits (no locks).
-    std::uint64_t l0Misses = 0;    //!< L0 misses (fell through to L1).
-    /** Frontier-memo hits (either cache level): whole per-layer
-     *  sweeps skipped. The serving warm-pass headline number. */
+    /** Always 0: the per-mapping scalar memo these counted is gone.
+     *  perfbench is their last reader; they go when it stops
+     *  reading them. */
+    std::uint64_t cacheHits = 0;
+    std::uint64_t l0Hits = 0;
+    std::uint64_t l0Misses = 0;
+    /** Frontier-memo hits (any cache level): whole per-layer
+     *  sweeps skipped. The warm-pass headline number. */
     std::uint64_t frontHits = 0;
     std::uint64_t frontMisses = 0; //!< Frontier lookups that swept.
     /** Segment-record memo hits/misses (segmentation search only;
@@ -98,26 +100,23 @@ struct DseStats
     /** L1 entries evicted by the capacity bound in this window. */
     std::uint64_t evictions = 0;
     /** Hits served from the shared mmap tier (each also counted in
-     *  the matching cacheHits/frontHits/segHits total). */
-    std::uint64_t sharedHits = 0;
+     *  the matching frontHits/segHits total). */
     std::uint64_t sharedFrontHits = 0;
     std::uint64_t sharedSegHits = 0;
     /** Gauges at window close (not deltas): L1 serialized footprint
      *  and the mapped shared-snapshot generation (0 = none). */
     std::uint64_t residentBytes = 0;
     std::uint64_t generation = 0;
-    /** runLayerWithEff invocations issued by this engine's
-     *  evaluator — the hot-path unit of work. Per-engine exact. */
+    /** runLayerWithEff invocations credited to this call — the
+     *  hot-path unit of work. Exact under overlapping calls. */
     std::uint64_t modelEvals = 0;
     std::uint64_t mappingsPruned = 0;  //!< Tilings cut by the cycle bound.
     /** Dataflows with no tiling evaluated before the global cut. */
     std::uint64_t dataflowsPruned = 0;
     std::uint64_t layersDeduped = 0;   //!< Layer instances broadcast, not searched.
     /** Extra class-search shares a zoo-level table produced across
-     *  models. Fed only by mapZoo traffic on this engine's evaluator
-     *  (explore() itself never maps zoos, so a pure explore() window
-     *  reports 0); the cache-level frontier counters live on
-     *  CostCache (frontHits()/frontMisses()) directly. */
+     *  models. Fed only by zoo-level mapping (mapZooFrontier), so
+     *  explore() always reports 0. */
     std::uint64_t crossModelDeduped = 0;
     double wallSeconds = 0;
 };
@@ -130,20 +129,6 @@ struct DseResult
      *  was exhausted — the archive holds the best points found so
      *  far, not the full search's. */
     bool degraded = false;
-};
-
-/**
- * Opaque counter snapshot opening a stats window on one engine.
- * beginEpoch() snapshots every cache and evaluator counter plus the
- * wall clock; statsSince() turns a snapshot into exact deltas. The
- * serve loop opens one epoch per request; explore() uses the same
- * hooks for its per-call stats.
- */
-struct StatsEpoch
-{
-    CacheCounters cache;
-    EvalCounters eval;
-    std::chrono::steady_clock::time_point start;
 };
 
 class DseEngine
@@ -216,20 +201,15 @@ class DseEngine
     DsePoint evaluate(const HardwareConfig &hw, const Model &m);
 
     /**
-     * @name Stats epochs (per-request windows)
-     * Open a counter window and read its exact deltas later.
-     * Counters are monotonic, so any number of windows may be open
-     * at once; deltas are exact as long as no evaluation runs
-     * concurrently with the two snapshots (the serve loop serves
-     * requests one at a time, so per-request stats are exact).
-     * @{
+     * DseStats of one finished call, read from the StatsContext its
+     * work was credited to (stats_scope.hh), plus the whole-cache
+     * gauges at window close. THE builder of DseStats: explore()
+     * and the serve loop both report through it. Strategy-level
+     * fields (proposed/evaluated/pruned) are zero — they belong to
+     * explore(), which fills them itself.
      */
-    StatsEpoch beginEpoch() const;
-    /** Deltas (cache tiers, evaluator work, wall time) since `e`.
-     *  Strategy-level fields (proposed/evaluated/pruned) are zero —
-     *  they belong to explore(), which fills them itself. */
-    DseStats statsSince(const StatsEpoch &e) const;
-    /** @} */
+    DseStats statsFrom(const StatsContext &ctx,
+                       double wallSeconds) const;
 
     /**
      * Persist the memo cache to options().cachePath. Returns false
@@ -239,12 +219,11 @@ class DseEngine
 
     /**
      * Mirror every engine counter (cache tiers, evaluator work) into
-     * `registry` under stable names ("dse.cache.l0_hits",
+     * `registry` under stable names ("dse.cache.front_hits",
      * "dse.eval.model_evals", ... — the full map is in
      * src/obs/README.md). The sources are monotonic, so registry
-     * snapshot/delta windows over them are exact — the one-stop
-     * replacement for hand-carried DseStats/CacheCounters epochs
-     * when several engines or subsystems are reported together.
+     * snapshot/delta windows over them are exact when several
+     * engines or subsystems are reported together.
      */
     void publishMetrics(obs::MetricsRegistry &registry) const;
 

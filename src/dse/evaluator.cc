@@ -107,18 +107,8 @@ LayerResult
 Evaluator::scoredRunLayer(const HardwareConfig &hw, const Layer &l,
                           const Mapping &map, double spatialEff) const
 {
-    if (!cache_) {
-        bumpStat(modelEvals_, &StatsContext::modelEvals);
-        return runLayerWithEff(hw, l, map, spatialEff);
-    }
-    CacheKey key = makeCacheKey(hw, l, map);
-    LayerResult res;
-    if (cache_->lookupFast(key, &res))
-        return res;
     bumpStat(modelEvals_, &StatsContext::modelEvals);
-    res = runLayerWithEff(hw, l, map, spatialEff);
-    cache_->insertFast(key, res);
-    return res;
+    return runLayerWithEff(hw, l, map, spatialEff);
 }
 
 MappingFrontier
@@ -279,11 +269,9 @@ Evaluator::searchMappingFrontier(const HardwareConfig &hw,
         return front;
     }
 
-    // Frontier memo, K > 1 only: K = 1 sweeps are fully covered by
-    // the per-mapping memo, and the scalar hot path must keep its
-    // exact cache-counter behavior. Memo hits skip the sweep and do
-    // not count as searches.
-    const bool memo = cache_ && policy_.memoFrontiers && cap > 1;
+    // Frontier memo, at every K: a hit skips the whole sweep and
+    // does not count as a search.
+    const bool memo = cache_ && policy_.memoFrontiers;
     CacheKey fkey;
     if (memo) {
         fkey = makeFrontierKey(hw, l, cap);
@@ -456,7 +444,8 @@ Evaluator::evaluate(const HardwareConfig &hw, const Model &m,
     p.id = id;
     p.hw = hw;
     // Per-candidate work stays on the calling worker thread; the
-    // memo cache already de-duplicates across candidates and layers.
+    // frontier memo already de-duplicates repeated (hw, layer)
+    // searches.
     ScheduleResult sched = mapModel(hw, m, nullptr);
     ChipCost cost = archCost(hw);
     p.latencyCycles = double(sched.summary.totalCycles);

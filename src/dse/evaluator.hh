@@ -24,12 +24,12 @@
  *    cut, firing right after the minimum-bound candidate's ties;
  *  - spatialEfficiency is computed once per (hw, layer, dataflow)
  *    and shared by every tiling candidate of that dataflow;
- *  - each (hw, layer, mapping) evaluation is memoized in an optional
- *    CostCache — a three-level lookup: thread-local L0, the bounded
- *    sharded L1 (LRU-evicted past its setCapacity budget), then the
- *    optional mmap'd shared snapshot tier probed copy-free — and
- *    whole frontiers are memoized per (hw, layer, K) for K > 1 —
- *    K = 1 sweeps keep the exact scalar cache behavior.
+ *  - whole frontiers are memoized per (hw, layer, K), at every K, in
+ *    an optional CostCache — a three-level lookup: thread-local L0,
+ *    the bounded sharded L1 (LRU-evicted past its setCapacity
+ *    budget), then the optional mmap'd shared snapshot tier probed
+ *    copy-free. A hit skips the layer's whole sweep; individual
+ *    mapping evaluations are never memoized.
  *
  * All optimizations preserve the exact result of the naive sweep:
  * the bound equals the true cycle count, ties keep their canonical
@@ -103,9 +103,9 @@ struct EvalPolicy
 {
     bool dedupLayerClasses = true; //!< Search one layer per class.
     bool pruneMappings = true;     //!< Branch-and-bound the sweep.
-    /** Memoize whole frontiers per (hw, layer, K) for K > 1. K = 1
-     *  sweeps never consult the frontier memo, so the scalar hot
-     *  path keeps its exact per-mapping cache behavior. */
+    /** Memoize whole frontiers per (hw, layer, K), at every K. Off
+     *  in the naive reference, which must re-sweep every repeated
+     *  layer shape itself. */
     bool memoFrontiers = true;
 };
 
@@ -123,16 +123,16 @@ struct EvalCounters
     /** Dataflows not one of whose tilings was evaluated before the
      *  global bound cut ended the sweep. */
     std::uint64_t dataflowsPruned = 0;
-    /** runLayerWithEff invocations issued by THIS evaluator (cache
-     *  misses + uncached runs) — exact even when other engines or
-     *  mapper clients evaluate concurrently in the process. */
+    /** runLayerWithEff invocations issued by THIS evaluator — exact
+     *  even when other engines or mapper clients evaluate
+     *  concurrently in the process. */
     std::uint64_t modelEvals = 0;
 };
 
 class Evaluator
 {
   public:
-    /** cache may be null: every evaluation is then computed fresh. */
+    /** cache may be null: every layer is then swept fresh. */
     explicit Evaluator(CostCache *cache = nullptr,
                        EvalPolicy policy = EvalPolicy())
         : cache_(cache), policy_(policy)

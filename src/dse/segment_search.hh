@@ -49,8 +49,7 @@ struct SegmentSearchStats
 /**
  * Search a segmentation plan for `m` on `hw`. The evaluator supplies
  * the per-stage mapping searches (and its CostCache, when present,
- * memoizes both the per-stage layer results and whole segment
- * records). Returns the all-singleton plan when `opt.enable` is
+ * memoizes both the per-stage frontiers and whole segment records). Returns the all-singleton plan when `opt.enable` is
  * false or nothing dominates.
  *
  * A non-null `cancel` bounds the search: annealing rounds stop at

@@ -1,21 +1,20 @@
 /**
  * @file
- * Per-request stats attribution for concurrent callers of the DSE
- * engine. The engine's StatsEpoch hooks (beginEpoch/statsSince)
- * snapshot GLOBAL monotonic counters, so their deltas are exact only
- * while requests never overlap — the single-dispatcher serving
- * assumption. Once the serve loop overlaps requests, two open epochs
- * see each other's work.
+ * Per-call stats attribution for concurrent callers of the DSE
+ * engine. Snapshotting GLOBAL monotonic counters before and after a
+ * call is exact only while calls never overlap; once the serve loop
+ * overlaps requests, two open windows see each other's work.
  *
- * A StatsContext is the overlap-safe replacement: a per-request
- * counter block installed into thread-local storage with an RAII
- * Scope. Every counter bump site (Evaluator work counters, CostCache
- * tier counters) credits BOTH the global atomic and the current
- * thread's context, and the evaluator re-installs the submitting
- * thread's context inside each WorkerPool item it fans out, so work
- * executed by shared pool workers is attributed to the request that
- * asked for it — exactly, even with any number of requests in
- * flight.
+ * A StatsContext is the overlap-safe window: a per-call counter
+ * block installed into thread-local storage with an RAII Scope.
+ * Every counter bump site (Evaluator work counters, CostCache tier
+ * counters) credits BOTH the global atomic and the current thread's
+ * context, and every WorkerPool fan-out (the evaluator's per-class
+ * sweeps, explore()'s candidate batches) re-installs the submitting
+ * thread's context inside each item, so work executed by shared
+ * pool workers is attributed to the call that asked for it —
+ * exactly, even with any number of calls in flight.
+ * DseEngine::statsFrom turns a finished context into DseStats.
  *
  * Null context (the default on every thread) costs one thread-local
  * load per bump; paths that never install a scope are unchanged.
@@ -33,25 +32,20 @@ namespace dse
 {
 
 /**
- * One request's work/caching counters, bumped from any thread whose
+ * One call's work/caching counters, bumped from any thread whose
  * current scope points here. Field names mirror DseStats; atomics
  * because several pool workers serve one request concurrently.
  */
 class StatsContext
 {
   public:
-    std::atomic<std::uint64_t> cacheHits{0};   //!< Sharded L1 hits.
-    std::atomic<std::uint64_t> cacheMisses{0};
-    std::atomic<std::uint64_t> l0Hits{0};      //!< Thread-local L0.
-    std::atomic<std::uint64_t> l0Misses{0};
     std::atomic<std::uint64_t> frontHits{0};   //!< Frontier memo.
     std::atomic<std::uint64_t> frontMisses{0};
     std::atomic<std::uint64_t> segHits{0};     //!< Segment memo.
     std::atomic<std::uint64_t> segMisses{0};
     std::atomic<std::uint64_t> evictions{0};   //!< L1 LRU evictions.
     /** Shared mmap-tier attribution (each also counts in the
-     *  matching cacheHits/frontHits/segHits slot). */
-    std::atomic<std::uint64_t> sharedHits{0};
+     *  matching frontHits/segHits slot). */
     std::atomic<std::uint64_t> sharedFrontHits{0};
     std::atomic<std::uint64_t> sharedSegHits{0};
     std::atomic<std::uint64_t> modelEvals{0};

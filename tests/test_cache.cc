@@ -2,9 +2,9 @@
  * @file
  * Production-scale CostCache behaviors: bounded-memory LRU eviction
  * (capacity boundaries, eviction order, exact counters, warm-hit
- * survival), the v5 on-disk format's compatibility classification
- * against committed fixtures (v4 → Stale cold start, corrupt v5 →
- * byte-verbatim quarantine), and the mmap'd shared read-mostly tier
+ * survival), the v6 on-disk format's compatibility classification
+ * against committed fixtures (v4/v5 → Stale cold start, corrupt v6
+ * → byte-verbatim quarantine), and the mmap'd shared read-mostly tier
  * (attach, copy-free probes, generation-stamped atomic remap,
  * per-request attribution through dse::StatsContext).
  */
@@ -30,10 +30,11 @@ using dse::CacheLoadStatus;
 using dse::CostCache;
 using dse::StatsContext;
 
-/** Serialized footprint of one scalar entry: 32 key words + 6
- *  result words (must match the save() layout — the eviction byte
- *  accounting is defined as exactly what save() would write). */
-constexpr std::uint64_t kScalarBytes = (32 + 6) * 8;
+/** Serialized footprint of one single-point frontier entry: 32 key
+ *  words + point count + heap offset + one 11-word point (must match
+ *  the save() layout — the eviction byte accounting is defined as
+ *  exactly what save() would write). */
+constexpr std::uint64_t kEntryBytes = (32 + 2 + 11) * 8;
 
 std::string
 slurp(const std::string &path)
@@ -59,8 +60,8 @@ copyFile(const std::string &from, const std::string &to)
     return static_cast<bool>(in) && static_cast<bool>(out);
 }
 
-/** A synthetic scalar key: distinct, hash-correct, hardware-free —
- *  eviction mechanics don't care what the words mean. */
+/** A synthetic frontier key: distinct, hash-correct, hardware-free
+ *  — eviction mechanics don't care what the words mean. */
 CacheKey
 syntheticKey(std::uint64_t n)
 {
@@ -71,47 +72,50 @@ syntheticKey(std::uint64_t n)
     return k;
 }
 
-LayerResult
-syntheticResult(std::uint64_t n)
+/** A one-point frontier whose result encodes `n`. */
+std::vector<dse::FrontierPoint>
+syntheticFrontier(std::uint64_t n)
 {
-    LayerResult r;
-    r.cycles = Int(n + 100);
-    r.energyPj = double(n) * 1.5;
-    r.macs = Int(n);
-    return r;
+    dse::FrontierPoint p;
+    p.result.cycles = Int(n + 100);
+    p.result.energyPj = double(n) * 1.5;
+    p.result.macs = Int(n);
+    p.seq = n;
+    return {p};
 }
 
 TEST(CacheEviction, EntryExactlyAtCapacityIsNotEvicted)
 {
     CostCache cache;
-    cache.setCapacity(kScalarBytes * 4, 0);
+    cache.setCapacity(kEntryBytes * 4, 0);
     for (std::uint64_t i = 0; i < 4; ++i)
-        cache.insert(syntheticKey(i), syntheticResult(i));
+        cache.insertFrontier(syntheticKey(i), syntheticFrontier(i));
     // Exactly AT the byte bound: the contract is "evict past", not
     // "evict at" — a capacity equal to the working set must hold it.
-    EXPECT_EQ(cache.residentBytes(), kScalarBytes * 4);
+    EXPECT_EQ(cache.residentBytes(), kEntryBytes * 4);
     EXPECT_EQ(cache.evictions(), 0u);
     EXPECT_EQ(cache.size(), 4u);
 
     // One entry beyond trips a batch: down to <= 7/8 of the bound.
-    cache.insert(syntheticKey(4), syntheticResult(4));
+    cache.insertFrontier(syntheticKey(4), syntheticFrontier(4));
     EXPECT_GT(cache.evictions(), 0u);
     EXPECT_LE(cache.residentBytes(),
-              kScalarBytes * 4 - (kScalarBytes * 4) / 8);
-    EXPECT_EQ(cache.inserts() - cache.evictions(), cache.size());
+              kEntryBytes * 4 - (kEntryBytes * 4) / 8);
+    EXPECT_EQ(cache.frontInserts() - cache.evictions(),
+              cache.frontierCount());
 }
 
 TEST(CacheEviction, LruOrderRespectsLookupRecency)
 {
     CostCache cache;
     for (std::uint64_t i = 0; i < 8; ++i)
-        cache.insert(syntheticKey(i), syntheticResult(i));
-    // Refresh 0..3 via lookup() — recency is an L1 property (L0
-    // hits deliberately don't touch L1 stamps), so lookup() is the
-    // recency driver.
-    LayerResult out;
+        cache.insertFrontier(syntheticKey(i), syntheticFrontier(i));
+    // Refresh 0..3 via lookupFrontier() — recency is an L1 property
+    // (L0 hits deliberately don't touch L1 stamps), so the sharded
+    // lookup is what refreshes recency.
+    std::vector<dse::FrontierPoint> out;
     for (std::uint64_t i = 0; i < 4; ++i)
-        ASSERT_TRUE(cache.lookup(syntheticKey(i), &out));
+        ASSERT_TRUE(cache.lookupFrontier(syntheticKey(i), &out));
 
     // Bound to 5 entries: the batch evicts down to 7/8 * 5 = 5, so
     // exactly the 3 least-recently-used (4, 5, 6) go.
@@ -119,97 +123,116 @@ TEST(CacheEviction, LruOrderRespectsLookupRecency)
     EXPECT_EQ(cache.evictions(), 3u);
     EXPECT_EQ(cache.size(), 5u);
     for (std::uint64_t i : {4ull, 5ull, 6ull})
-        EXPECT_FALSE(cache.lookup(syntheticKey(i), &out)) << i;
+        EXPECT_FALSE(cache.lookupFrontier(syntheticKey(i), &out)) << i;
     for (std::uint64_t i : {0ull, 1ull, 2ull, 3ull, 7ull})
-        EXPECT_TRUE(cache.lookup(syntheticKey(i), &out)) << i;
+        EXPECT_TRUE(cache.lookupFrontier(syntheticKey(i), &out)) << i;
 }
 
 TEST(CacheEviction, CountersStayExactUnderTwoThreadInterleaving)
 {
     CostCache cache;
-    cache.setCapacity(kScalarBytes * 64, 0);
+    cache.setCapacity(kEntryBytes * 64, 0);
     // Two threads interleave disjoint lookup/insert traffic far past
     // capacity; whatever the interleaving, the accounting identities
     // must hold exactly afterwards.
     auto worker = [&](std::uint64_t base) {
-        LayerResult out;
+        std::vector<dse::FrontierPoint> out;
         for (std::uint64_t i = 0; i < 600; ++i) {
             const CacheKey k = syntheticKey(base + i);
-            if (!cache.lookup(k, &out))
-                cache.insert(k, syntheticResult(base + i));
+            if (!cache.lookupFrontier(k, &out))
+                cache.insertFrontier(k, syntheticFrontier(base + i));
             if (i % 3 == 0)
-                cache.lookup(syntheticKey(base + i / 2), &out);
+                cache.lookupFrontier(syntheticKey(base + i / 2), &out);
         }
     };
     std::thread a(worker, 0), b(worker, 10000);
     a.join();
     b.join();
     EXPECT_GT(cache.evictions(), 0u);
-    EXPECT_EQ(cache.inserts() - cache.evictions(), cache.size());
-    EXPECT_EQ(cache.residentBytes(), cache.size() * kScalarBytes);
-    EXPECT_LE(cache.residentBytes(), kScalarBytes * 64);
+    EXPECT_EQ(cache.frontInserts() - cache.evictions(),
+              cache.frontierCount());
+    EXPECT_EQ(cache.size(), cache.frontierCount());
+    EXPECT_EQ(cache.residentBytes(), cache.frontierCount() * kEntryBytes);
+    EXPECT_LE(cache.residentBytes(), kEntryBytes * 64);
 }
 
-TEST(CacheEviction, WarmFrontierHitRateSurvivesBoundedReplay)
+TEST(CacheEviction, WarmSegmentHitRateSurvivesBoundedReplay)
 {
-    // Unbounded baseline: how many bytes does a frontier-valued
-    // model sweep resident?
+    // Both entry kinds: K = 4 frontiers plus the segmentation
+    // search's records, on a DRAM-starved box where segments form.
     HardwareConfig hw;
+    hw.dram.bandwidthGBs = 4.0;
     Model m = makeLeNet();
+    SegmentOptions sopt;
+    sopt.enable = true;
+    auto replay = [&](dse::Evaluator &ev) {
+        ev.mapModelFrontier(hw, m, 4);
+        dse::searchSegments(hw, m, ev, sopt);
+    };
+
+    // Unbounded baseline: how many entries of each kind?
     CostCache unbounded;
     {
         dse::Evaluator ev(&unbounded);
-        ev.mapModelFrontier(hw, m, 4);
+        replay(ev);
     }
-    const std::uint64_t full = unbounded.residentBytes();
-    ASSERT_GT(full, 0u);
+    const std::uint64_t segs = unbounded.segmentCount();
+    ASSERT_GT(segs, 0u);
+    ASSERT_GT(unbounded.size(), 2 * segs);
 
-    // Replay at HALF the working set (the "2x over capacity" shape):
-    // scalars are sacrificed, frontier entries must survive, so the
-    // warm pass still answers every frontier lookup from memory.
+    // An entry bound that holds every segment record with room to
+    // spare, but not every frontier: frontiers are sacrificed,
+    // segment records must survive, so the warm pass still answers
+    // every segment lookup from memory.
     CostCache bounded;
-    bounded.setCapacity(full / 2, 0);
+    bounded.setCapacity(0, 2 * segs);
     dse::Evaluator ev(&bounded);
-    ev.mapModelFrontier(hw, m, 4); // Cold: fills + evicts.
+    replay(ev); // Cold: fills + evicts.
     EXPECT_GT(bounded.evictions(), 0u);
-    EXPECT_LE(bounded.residentBytes(), full / 2);
+    EXPECT_LE(bounded.size(), 2 * segs);
+    EXPECT_EQ(bounded.segmentCount(), segs);
 
     const CacheCounters before = bounded.counters();
-    std::vector<dse::MappingFrontier> warm =
-        ev.mapModelFrontier(hw, m, 4);
+    replay(ev);
     const CacheCounters delta = bounded.counters() - before;
-    EXPECT_GT(delta.frontHits, 0u);
-    EXPECT_EQ(delta.frontMisses, 0u); // 100% warm frontier hits.
-    ASSERT_EQ(warm.size(), m.layers.size());
+    EXPECT_GT(delta.segHits, 0u);
+    EXPECT_EQ(delta.segMisses, 0u); // 100% warm segment hits.
 }
 
-TEST(CacheCompat, V4FixtureIsStaleNeverQuarantined)
+TEST(CacheCompat, OlderFormatFixturesAreStaleNeverQuarantined)
 {
-    const std::string fixture =
-        std::string(LEGO_SOURCE_DIR) + "/tests/fixtures/cache_v4.bin";
-    const std::string path =
-        testing::TempDir() + "lego_cache_v4_compat.bin";
-    ASSERT_TRUE(copyFile(fixture, path));
+    // Valid files of older builds (v4, v5) are a deliberate cold
+    // start (Stale), never treated as damage — the file must survive
+    // untouched, with no quarantine side effects. The damaged v5
+    // fixture reads as Stale too: the version gate precedes every
+    // integrity check, since an older layout cannot be checked.
+    for (const char *name :
+         {"cache_v4.bin", "cache_v5.bin", "cache_v5_corrupt.bin"}) {
+        const std::string fixture =
+            std::string(LEGO_SOURCE_DIR) + "/tests/fixtures/" + name;
+        const std::string path =
+            testing::TempDir() + "lego_compat_" + name;
+        ASSERT_TRUE(copyFile(fixture, path)) << name;
+        std::remove((path + ".corrupt").c_str());
 
-    // A v4 file is a valid artifact of an older build: deliberate
-    // cold start (Stale), never treated as damage — the file must
-    // survive untouched, with no quarantine side effects.
-    CostCache cache;
-    EXPECT_EQ(cache.loadOrQuarantine(path), CacheLoadStatus::Stale);
-    EXPECT_EQ(cache.quarantined(), 0u);
-    EXPECT_EQ(cache.size(), 0u);
-    EXPECT_TRUE(fileExists(path));
-    EXPECT_FALSE(fileExists(path + ".corrupt"));
-    EXPECT_EQ(slurp(path), slurp(fixture)); // Byte-untouched.
-    std::remove(path.c_str());
+        CostCache cache;
+        EXPECT_EQ(cache.loadOrQuarantine(path), CacheLoadStatus::Stale)
+            << name;
+        EXPECT_EQ(cache.quarantined(), 0u) << name;
+        EXPECT_EQ(cache.size(), 0u) << name;
+        EXPECT_TRUE(fileExists(path)) << name;
+        EXPECT_FALSE(fileExists(path + ".corrupt")) << name;
+        EXPECT_EQ(slurp(path), slurp(fixture)) << name; // Untouched.
+        std::remove(path.c_str());
+    }
 }
 
-TEST(CacheCompat, CorruptV5FixtureQuarantinesByteVerbatim)
+TEST(CacheCompat, CorruptV6FixtureQuarantinesByteVerbatim)
 {
     const std::string fixture = std::string(LEGO_SOURCE_DIR) +
-                                "/tests/fixtures/cache_v5_corrupt.bin";
+                                "/tests/fixtures/cache_v6_corrupt.bin";
     const std::string path =
-        testing::TempDir() + "lego_cache_v5_compat.bin";
+        testing::TempDir() + "lego_cache_v6_compat.bin";
     const std::string aside = path + ".corrupt";
     ASSERT_TRUE(copyFile(fixture, path));
     std::remove(aside.c_str());
@@ -226,7 +249,7 @@ TEST(CacheCompat, CorruptV5FixtureQuarantinesByteVerbatim)
     std::remove(aside.c_str());
 }
 
-/** Writer cache with all three entry kinds, saved to `path`. */
+/** Writer cache with both entry kinds, saved to `path`. */
 void
 publishSnapshot(const std::string &path, CostCache *cache)
 {
@@ -239,7 +262,6 @@ publishSnapshot(const std::string &path, CostCache *cache)
     SegmentOptions sopt;
     sopt.enable = true;
     dse::searchSegments(hw, m, ev, sopt);
-    ASSERT_GT(cache->size(), 0u);
     ASSERT_GT(cache->frontierCount(), 0u);
     ASSERT_GT(cache->segmentCount(), 0u);
     ASSERT_TRUE(cache->save(path));
@@ -265,10 +287,10 @@ TEST(SharedCache, ReaderServesEntirelyFromMappedSnapshot)
     ScheduleResult viaShared = ev.mapModel(hw, m);
     EXPECT_EQ(ev.counters().modelEvals, 0u)
         << "every evaluation should have come from the snapshot";
-    EXPECT_GT(reader.sharedHits(), 0u);
+    EXPECT_GT(reader.sharedFrontHits(), 0u);
     // Shared hits never copy into L1 (pages must stay shared):
     // inserts would be the tell.
-    EXPECT_EQ(reader.inserts(), 0u);
+    EXPECT_EQ(reader.frontInserts(), 0u);
     EXPECT_EQ(reader.residentBytes(), 0u);
 
     // Frontier + segment kinds probe the snapshot too.
@@ -341,7 +363,7 @@ TEST(SharedCache, StatsContextAttributesEvictionsAndSharedHits)
     std::remove(path.c_str());
     CostCache writer;
     for (std::uint64_t i = 0; i < 8; ++i)
-        writer.insert(syntheticKey(i), syntheticResult(i));
+        writer.insertFrontier(syntheticKey(i), syntheticFrontier(i));
     ASSERT_TRUE(writer.save(path));
 
     // The per-request idiom: both the shared-tier hit and the
@@ -351,14 +373,15 @@ TEST(SharedCache, StatsContextAttributesEvictionsAndSharedHits)
     ASSERT_TRUE(reader.attachShared(path));
     StatsContext ctx;
     StatsContext::Scope scope(&ctx);
-    LayerResult out;
-    ASSERT_TRUE(reader.lookup(syntheticKey(3), &out));
-    EXPECT_EQ(ctx.sharedHits.load(), 1u);
-    EXPECT_EQ(ctx.cacheHits.load(), 1u); // Attribution, not a new
+    std::vector<dse::FrontierPoint> out;
+    ASSERT_TRUE(reader.lookupFrontier(syntheticKey(3), &out));
+    EXPECT_EQ(out.front().result.macs, 3);
+    EXPECT_EQ(ctx.sharedFrontHits.load(), 1u);
+    EXPECT_EQ(ctx.frontHits.load(), 1u); // Attribution, not a new
                                          // denominator.
     reader.setCapacity(0, 4);
     for (std::uint64_t i = 100; i < 110; ++i)
-        reader.insert(syntheticKey(i), syntheticResult(i));
+        reader.insertFrontier(syntheticKey(i), syntheticFrontier(i));
     EXPECT_GT(ctx.evictions.load(), 0u);
     EXPECT_EQ(ctx.evictions.load(), reader.evictions());
     std::remove(path.c_str());

@@ -76,12 +76,14 @@ TEST(CostCache, CachedEqualsFresh)
     Evaluator fresh(nullptr);
 
     MappedLayer a = cached.searchMapping(hw, l); // Fills the cache.
-    MappedLayer b = cached.searchMapping(hw, l); // All cache hits.
+    const std::uint64_t coldEvals = cached.counters().modelEvals;
+    MappedLayer b = cached.searchMapping(hw, l); // A frontier hit.
     MappedLayer c = fresh.searchMapping(hw, l);
-    // The repeat search runs on the same thread, so its hits land in
-    // the thread-local L0 (the sharded level is only consulted on L0
-    // misses).
-    EXPECT_GT(cache.l0Hits(), 0u);
+    // The repeat K = 1 search is answered by the frontier memo: no
+    // sweep, no model evaluation.
+    EXPECT_EQ(cache.frontHits(), 1u);
+    EXPECT_EQ(cached.counters().searches, 1u);
+    EXPECT_EQ(cached.counters().modelEvals, coldEvals);
 
     // Bit-identical across cached and fresh paths.
     for (const MappedLayer *m : {&b, &c}) {
@@ -95,19 +97,20 @@ TEST(CostCache, CachedEqualsFresh)
         EXPECT_EQ(a.mapping.tk, m->mapping.tk);
     }
 
-    // And a single cached lookup equals a direct model call. The
-    // winning mapping is always evaluated (never pruned), so its
-    // entry must be in the sharded table.
+    // And the memoized entry equals a direct model call: a K = 1
+    // model mapping leaves the layer's frontier in the sharded
+    // table, and its one point is the winning mapping's result.
     LayerResult direct = runLayer(hw, l, a.mapping);
     CostCache c2;
     Evaluator e2(&c2);
     ScheduleResult unused = e2.mapModel(hw, Model{"m", {l}});
     (void)unused;
-    LayerResult viaKey;
+    std::vector<dse::FrontierPoint> viaKey;
     ASSERT_TRUE(
-        c2.lookup(dse::makeCacheKey(hw, l, a.mapping), &viaKey));
-    EXPECT_EQ(direct.cycles, viaKey.cycles);
-    EXPECT_EQ(direct.energyPj, viaKey.energyPj);
+        c2.lookupFrontier(dse::makeFrontierKey(hw, l, 1), &viaKey));
+    ASSERT_EQ(viaKey.size(), 1u);
+    EXPECT_EQ(direct.cycles, viaKey[0].result.cycles);
+    EXPECT_EQ(direct.energyPj, viaKey[0].result.energyPj);
 }
 
 TEST(CostCache, KeyIgnoresNameAndRepeat)
@@ -116,18 +119,19 @@ TEST(CostCache, KeyIgnoresNameAndRepeat)
     Layer a = conv("stage1", 64, 64, 56, 3);
     Layer b = conv("stage9", 64, 64, 56, 3);
     b.repeat = 7;
-    Mapping map{DataflowTag::MN, 64, 64, 64};
-    EXPECT_EQ(dse::makeCacheKey(hw, a, map),
-              dse::makeCacheKey(hw, b, map));
+    EXPECT_EQ(dse::makeFrontierKey(hw, a, 1),
+              dse::makeFrontierKey(hw, b, 1));
 
-    // But any shape or hardware change must miss.
+    // But any shape, hardware or K change must miss.
     Layer c = conv("stage1", 64, 64, 57, 3);
-    EXPECT_FALSE(dse::makeCacheKey(hw, a, map) ==
-                 dse::makeCacheKey(hw, c, map));
+    EXPECT_FALSE(dse::makeFrontierKey(hw, a, 1) ==
+                 dse::makeFrontierKey(hw, c, 1));
     HardwareConfig hw2 = hw;
     hw2.l1Kb += 1;
-    EXPECT_FALSE(dse::makeCacheKey(hw, a, map) ==
-                 dse::makeCacheKey(hw2, a, map));
+    EXPECT_FALSE(dse::makeFrontierKey(hw, a, 1) ==
+                 dse::makeFrontierKey(hw2, a, 1));
+    EXPECT_FALSE(dse::makeFrontierKey(hw, a, 1) ==
+                 dse::makeFrontierKey(hw, a, 2));
 }
 
 TEST(CostCache, SharedShapesHitAcrossLayers)
@@ -147,13 +151,14 @@ TEST(CostCache, SharedShapesHitAcrossLayers)
               r.perLayer[1].result.cycles);
 
     // With deduplication off the second twin re-issues the same
-    // keys; on one thread those are L0 hits (zero locks taken).
+    // frontier key and is served by the memo without a sweep.
     dse::EvalPolicy naiveDedup;
     naiveDedup.dedupLayerClasses = false;
     CostCache cache2;
     Evaluator e2(&cache2, naiveDedup);
     ScheduleResult r2 = e2.mapModel(HardwareConfig{}, m);
-    EXPECT_GT(cache2.l0Hits(), 0u); // Second twin fully memoized.
+    EXPECT_EQ(cache2.frontHits(), 1u); // Second twin fully memoized.
+    EXPECT_EQ(e2.counters().searches, 1u);
     EXPECT_EQ(r2.perLayer[0].result.cycles,
               r2.perLayer[1].result.cycles);
 }
@@ -328,7 +333,6 @@ TEST(CandidateSpace, NeighborReflectsAtEdges)
 TEST(CostCache, DataflowPackingCannotCollide)
 {
     Layer l = conv("c", 8, 8, 8, 3);
-    Mapping map{DataflowTag::MN, 16, 16, 16};
     // 16 tags pack losslessly: sets differing only in the *first*
     // (oldest-packed) tag must key differently — this is the entry
     // the old unchecked shift pushed out of the 64-bit word.
@@ -336,13 +340,13 @@ TEST(CostCache, DataflowPackingCannotCollide)
     a.dataflows.assign(16, DataflowTag::MN);
     b.dataflows = a.dataflows;
     b.dataflows[0] = DataflowTag::ICOC;
-    EXPECT_FALSE(dse::makeCacheKey(a, l, map) ==
-                 dse::makeCacheKey(b, l, map));
+    EXPECT_FALSE(dse::makeFrontierKey(a, l, 1) ==
+                 dse::makeFrontierKey(b, l, 1));
     // A 17th tag cannot be packed; keying such a config would shift
     // the first tag out and alias distinct configs, so it panics.
     HardwareConfig c = a;
     c.dataflows.push_back(DataflowTag::OHOW);
-    EXPECT_THROW(dse::makeCacheKey(c, l, map), PanicError);
+    EXPECT_THROW(dse::makeFrontierKey(c, l, 1), PanicError);
 }
 
 TEST(Evaluator, FitsL1ScalesWithDataBits)
@@ -460,9 +464,9 @@ TEST(Evaluator, FallbackMappingClampsToProblem)
 }
 
 /**
- * Cache statistics are exact: with the naive policy every candidate
- * of every (distinct-shape) layer issues exactly one lookup, so the
- * L0/L1 counters are fully predictable — under 1 worker and under 8.
+ * Cache statistics are exact: with dedup off every layer of a
+ * model issues exactly one frontier lookup, so the counters are
+ * fully predictable — under 1 worker and under 8.
  */
 TEST(CostCache, CountersExactUnderWorkerCounts)
 {
@@ -470,6 +474,7 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
     m.name = "distinct";
     m.layers = {conv("a", 32, 64, 28, 3), conv("b", 64, 64, 14, 3),
                 linear("fc", 8, 256, 512), matmul("mm", 64, 32, 64)};
+    const std::uint64_t layers = m.layers.size();
 
     for (int threads : {1, 8}) {
         dse::DseOptions opt;
@@ -478,43 +483,31 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
         opt.eval.pruneMappings = false;
         dse::DseEngine engine(opt);
 
-        std::uint64_t expectLookups = 0;
+        std::uint64_t candidates = 0;
         for (const Layer &l : m.layers)
-            expectLookups +=
+            candidates +=
                 dse::mappingCandidates(HardwareConfig{}, l).size();
-        ASSERT_GT(expectLookups, 0u);
 
-        // Cold: every lookup misses both levels and inserts once.
+        // Cold: every lookup misses every level, sweeps every
+        // candidate once, and inserts once.
         engine.mapModel(HardwareConfig{}, m);
         dse::CostCache &cache = engine.cache();
-        EXPECT_EQ(cache.l0Hits(), 0u) << threads;
-        EXPECT_EQ(cache.l0Misses(), expectLookups) << threads;
-        EXPECT_EQ(cache.hits(), 0u) << threads;
-        EXPECT_EQ(cache.misses(), expectLookups) << threads;
-        EXPECT_EQ(cache.inserts(), expectLookups) << threads;
-        EXPECT_EQ(cache.size(), expectLookups) << threads;
+        EXPECT_EQ(cache.frontHits(), 0u) << threads;
+        EXPECT_EQ(cache.frontMisses(), layers) << threads;
+        EXPECT_EQ(cache.frontInserts(), layers) << threads;
+        EXPECT_EQ(cache.size(), layers) << threads;
+        EXPECT_EQ(engine.evaluator().counters().modelEvals, candidates)
+            << threads;
 
-        // Warm: the same lookups all hit — split between L0 (same
-        // worker re-lookup) and L1 (first touch from a new worker),
-        // but the sum and the lack of misses/inserts are exact.
+        // Warm: the same lookups all hit — from the L0 (same worker)
+        // or L1 (first touch from a new worker), counted exactly
+        // once either way — with no new misses, inserts, or evals.
         engine.mapModel(HardwareConfig{}, m);
-        EXPECT_EQ(cache.l0Hits() + cache.hits(), expectLookups)
-            << threads;
-        EXPECT_EQ(cache.l0Misses() + cache.l0Hits(),
-                  2 * expectLookups)
-            << threads;
-        EXPECT_EQ(cache.misses(), expectLookups) << threads;
-        EXPECT_EQ(cache.inserts(), expectLookups) << threads;
-        EXPECT_EQ(cache.size(), expectLookups) << threads;
-        if (threads == 1) {
-            // One worker: warm lookups are L0 hits except keys whose
-            // direct-mapped slot was evicted by a colliding key —
-            // those fall through and hit L1 instead (still counted
-            // exactly once, by the sum checks above).
-            EXPECT_GT(cache.l0Hits(), 0u);
-        }
-        // Every L1 access came from an L0 miss.
-        EXPECT_EQ(cache.hits() + cache.misses(), cache.l0Misses())
+        EXPECT_EQ(cache.frontHits(), layers) << threads;
+        EXPECT_EQ(cache.frontMisses(), layers) << threads;
+        EXPECT_EQ(cache.frontInserts(), layers) << threads;
+        EXPECT_EQ(cache.size(), layers) << threads;
+        EXPECT_EQ(engine.evaluator().counters().modelEvals, candidates)
             << threads;
     }
 }
@@ -594,6 +587,28 @@ TEST(Engine, ThreadCountDeterminism)
             << dse::strategyName(kind);
         expectSameFrontier(r1.archive, r8.archive);
     }
+}
+
+/** explore()'s stats come out of its own StatsContext, re-installed
+ *  on every pool worker: at 8 workers they still account for all of
+ *  the engine's work, exactly as at 1 worker. */
+TEST(Engine, ExploreStatsCreditWorkOnEveryWorker)
+{
+    Model m = makeLeNet();
+    CandidateSpace space = dse::eyerissEquivalentSpace();
+    DseOptions o1;
+    o1.threads = 1;
+    DseOptions o8 = o1;
+    o8.threads = 8;
+    DseEngine e1(o1), e8(o8);
+    DseResult r1 = e1.explore(space, m);
+    DseResult r8 = e8.explore(space, m);
+    ASSERT_GT(r8.stats.modelEvals, 0u);
+    EXPECT_EQ(r8.stats.modelEvals, e8.evaluator().counters().modelEvals);
+    EXPECT_EQ(r8.stats.frontMisses, e8.cache().frontMisses());
+    EXPECT_EQ(r8.stats.modelEvals, r1.stats.modelEvals);
+    EXPECT_EQ(r8.stats.frontMisses, r1.stats.frontMisses);
+    EXPECT_EQ(r8.stats.mappingsPruned, r1.stats.mappingsPruned);
 }
 
 TEST(Engine, ExhaustiveArchiveIsTrueFrontier)
@@ -722,16 +737,17 @@ TEST(CostCache, SaveLoadWarmStart)
 
     DseEngine cold(opt);
     DseResult rc = cold.explore(space, m);
-    EXPECT_GT(rc.stats.cacheMisses, 0u);
+    EXPECT_GT(rc.stats.frontMisses, 0u);
     ASSERT_TRUE(cold.saveCache());
 
-    // A fresh engine warm-starts from the file: every layer costing
-    // is a hit, and the frontier is bit-identical.
+    // A fresh engine warm-starts from the file: every layer search
+    // is a frontier hit, and the frontier is bit-identical.
     DseEngine warm(opt);
     EXPECT_EQ(warm.cache().size(), cold.cache().size());
     DseResult rw = warm.explore(space, m);
-    EXPECT_EQ(rw.stats.cacheMisses, 0u);
-    EXPECT_GT(rw.stats.cacheHits, 0u);
+    EXPECT_EQ(rw.stats.frontMisses, 0u);
+    EXPECT_GT(rw.stats.frontHits, 0u);
+    EXPECT_EQ(rw.stats.modelEvals, 0u);
     expectSameFrontier(rc.archive, rw.archive);
 
     // A valid header whose count word is corrupted must be rejected

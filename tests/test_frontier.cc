@@ -261,10 +261,38 @@ TEST(FrontierMemo, MemoizedEqualsFresh)
     EXPECT_EQ(d.size(), std::min<std::size_t>(2, a.size()));
     EXPECT_EQ(cache.frontierCount(), 2u);
 
-    // K = 1 never touches the frontier memo (scalar hot path).
-    std::uint64_t fm = cache.frontMisses();
-    cached.searchMappingFrontier(hw, l, 1);
-    EXPECT_EQ(cache.frontMisses(), fm);
+    // K = 1 is memoized like any other K: its own entry on the first
+    // search, a hit with no new evaluations on the second.
+    MappingFrontier k1 = cached.searchMappingFrontier(hw, l, 1);
+    EXPECT_EQ(cache.frontierCount(), 3u);
+    evals = cached.counters().modelEvals;
+    const std::uint64_t hits = cache.frontHits();
+    expectSameFrontier(k1, cached.searchMappingFrontier(hw, l, 1));
+    EXPECT_EQ(cache.frontHits(), hits + 1);
+    EXPECT_EQ(cached.counters().modelEvals, evals);
+}
+
+/** A warm K = 1 model mapping is answered from the frontier memo:
+ *  no layer is swept again, no model evaluation runs. (Tensor layers
+ *  only: a PPU layer is costed directly, never swept or memoized.) */
+TEST(FrontierMemo, WarmK1MapModelSkipsTheSweep)
+{
+    HardwareConfig hw;
+    Model m;
+    m.name = "tensor-only";
+    m.layers = {conv("a", 32, 64, 28, 3), conv("b", 64, 64, 14, 3),
+                linear("fc", 8, 256, 512), matmul("mm", 64, 32, 64)};
+    CostCache cache;
+    Evaluator ev(&cache);
+    ScheduleResult cold = ev.mapModel(hw, m);
+    const dse::EvalCounters before = ev.counters();
+    ASSERT_GT(before.searches, 0u);
+    ASSERT_GT(before.modelEvals, 0u);
+
+    ScheduleResult warm = ev.mapModel(hw, m);
+    EXPECT_EQ(ev.counters().searches, before.searches);
+    EXPECT_EQ(ev.counters().modelEvals, before.modelEvals);
+    EXPECT_TRUE(sameSchedule(cold, warm));
 }
 
 /** Frontier entries survive a save/load round trip bit-for-bit. */

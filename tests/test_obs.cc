@@ -223,8 +223,9 @@ TEST(ObsMetrics, EnginePublishMetricsMirrorsCounters)
     const obs::MetricsSnapshot s = reg.snapshot();
     EXPECT_EQ(s.counters.at("dse.eval.model_evals"),
               engine.evaluator().counters().modelEvals);
-    EXPECT_EQ(s.counters.at("dse.cache.inserts"),
-              engine.cache().counters().inserts);
+    EXPECT_EQ(s.counters.at("dse.cache.front_inserts"),
+              engine.cache().counters().frontInserts);
+    EXPECT_GT(s.counters.at("dse.cache.front_inserts"), 0u);
     EXPECT_GT(s.counters.at("dse.eval.model_evals"), 0u);
 }
 

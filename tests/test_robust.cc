@@ -58,7 +58,8 @@ fileExists(const std::string &path)
     return static_cast<bool>(std::ifstream(path));
 }
 
-/** A cache with entries in all three persisted sections. */
+/** A cache with entries in both persisted sections: K = 1 and
+ *  K = 4 frontiers plus segment records. */
 void
 fillCache(CostCache *cache)
 {
@@ -66,13 +67,15 @@ fillCache(CostCache *cache)
     hw.dram.bandwidthGBs = 4.0; // Starved DRAM: segments dominate.
     Model m = makeLeNet();
     dse::Evaluator ev(cache);
-    ev.mapModel(hw, m);            // Scalar entries.
-    ev.mapModelFrontier(hw, m, 4); // Frontier entries.
+    ev.mapModel(hw, m); // K = 1 frontier entries.
+    const std::size_t k1 = cache->frontierCount();
+    ASSERT_GT(k1, 0u);
+    ev.mapModelFrontier(hw, m, 4); // K = 4 frontier entries.
+    ASSERT_GT(cache->frontierCount(), k1);
     SegmentOptions sopt;
     sopt.enable = true;
     dse::searchSegments(hw, m, ev, sopt); // Segment records.
-    ASSERT_GT(cache->size(), 0u);
-    ASSERT_GT(cache->frontierCount(), 0u);
+    ASSERT_GT(cache->segmentCount(), 0u);
 }
 
 TEST(Failpoints, ArmFireDisarmAndHits)

@@ -316,7 +316,7 @@ TEST(SegmentSearch, AcceptedSegmentsStrictlyDominate)
               serial.summary.totalEnergyPj);
 }
 
-/** Segment records survive a v5 save/load round trip bit-for-bit; a
+/** Segment records survive a v6 save/load round trip bit-for-bit; a
  *  v2-stamped file is rejected wholesale (cold start). */
 TEST(SegmentCache, V4RoundTripAndV2Rejected)
 {
@@ -336,7 +336,7 @@ TEST(SegmentCache, V4RoundTripAndV2Rejected)
     ASSERT_GT(cold.segmentCount(), 0u);
     ASSERT_GT(cold.segInserts(), 0u);
     ASSERT_TRUE(cold.save(path));
-    EXPECT_EQ(CostCache::fileFormatVersion(), 5u);
+    EXPECT_EQ(CostCache::fileFormatVersion(), 6u);
 
     CostCache warm;
     ASSERT_TRUE(warm.load(path));

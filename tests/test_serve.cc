@@ -347,6 +347,11 @@ TEST(ServeLoop, WarmColdIdentityAndFrontierHitRate)
         EXPECT_TRUE(cold[i].ok) << cold[i].error;
         // Warm answers are the cold answers, bit for bit.
         EXPECT_TRUE(sameResponse(cold[i], warm[i])) << "request " << i;
+        // Every warm request — the K = 1 ones too — is answered
+        // entirely by the frontier memo.
+        EXPECT_GT(warm[i].stats.dse.frontHits, 0u) << "request " << i;
+        EXPECT_EQ(warm[i].stats.dse.frontMisses, 0u)
+            << "request " << i;
         warmEvals += warm[i].stats.dse.modelEvals;
         warmFrontHits += warm[i].stats.dse.frontHits;
         warmFrontLookups += warm[i].stats.dse.frontHits +
@@ -472,8 +477,8 @@ TEST(ServeLoop, CoalescingJoinsDuplicatesWithZeroWork)
                 << i << "/" << s;
         // ...under the follower's own identity and zero work.
         EXPECT_EQ(rs[i].stats.dse.modelEvals, 0u) << i;
-        EXPECT_EQ(rs[i].stats.dse.cacheHits, 0u) << i;
         EXPECT_EQ(rs[i].stats.dse.frontHits, 0u) << i;
+        EXPECT_EQ(rs[i].stats.dse.frontMisses, 0u) << i;
     }
     EXPECT_EQ(rs[1].id, "dup");
     EXPECT_EQ(rs[2].id, "cased");
@@ -611,8 +616,8 @@ TEST(ServeLoop, PerRequestStatsExactUnderOverlap)
         EXPECT_EQ(overlapped[i].stats.dse.modelEvals,
                   serial[i].stats.dse.modelEvals)
             << i;
-        EXPECT_EQ(overlapped[i].stats.dse.cacheMisses,
-                  serial[i].stats.dse.cacheMisses)
+        EXPECT_EQ(overlapped[i].stats.dse.frontMisses,
+                  serial[i].stats.dse.frontMisses)
             << i;
         EXPECT_EQ(overlapped[i].stats.dse.mappingsPruned,
                   serial[i].stats.dse.mappingsPruned)
@@ -653,18 +658,24 @@ TEST(ServeLoop, UnwritableCachePathFailsFlushNotServing)
     EXPECT_FALSE(loop.shutdown());       // Sticky status.
 }
 
-/** A cache holding both scalar and frontier entries, for the
- *  persistence failure-path tests. */
+/** A cache holding K = 1 and K = 4 frontiers plus segment records,
+ *  for the persistence failure-path tests. */
 void
 fillCache(CostCache *cache)
 {
     HardwareConfig hw;
+    hw.dram.bandwidthGBs = 4.0; // Starved DRAM: segments form.
     Model m = makeLeNet();
     dse::Evaluator ev(cache);
-    ev.mapModel(hw, m);                // Scalar entries.
-    ev.mapModelFrontier(hw, m, 4);     // Frontier entries.
-    ASSERT_GT(cache->size(), 0u);
-    ASSERT_GT(cache->frontierCount(), 0u);
+    ev.mapModel(hw, m); // K = 1 frontier entries.
+    const std::size_t k1 = cache->frontierCount();
+    ASSERT_GT(k1, 0u);
+    ev.mapModelFrontier(hw, m, 4); // K = 4 frontier entries.
+    ASSERT_GT(cache->frontierCount(), k1);
+    SegmentOptions sopt;
+    sopt.enable = true;
+    dse::searchSegments(hw, m, ev, sopt);
+    ASSERT_GT(cache->segmentCount(), 0u);
 }
 
 TEST(CostCachePersistence, SaveFailsOnUnwritablePaths)
@@ -699,9 +710,9 @@ TEST(CostCachePersistence, TruncatedAndPaddedFilesAreRejected)
     ASSERT_GT(bytes.size(), 64u);
 
     // Truncations at every interesting boundary: inside the header,
-    // inside the scalar section, at the frontier-count word, inside
-    // a frontier entry, and one word short of complete. All must be
-    // rejected wholesale, leaving the cache untouched.
+    // at the frontier-count word, inside the entry regions, inside
+    // the heap, and one word short of complete. All must be rejected
+    // wholesale, leaving the cache untouched.
     const std::size_t cuts[] = {
         8, 24, 32 + 7, bytes.size() / 2, bytes.size() - 9,
         bytes.size() - sizeof(std::uint64_t)};
@@ -731,6 +742,7 @@ TEST(CostCachePersistence, TruncatedAndPaddedFilesAreRejected)
     EXPECT_TRUE(intact.load(path));
     EXPECT_EQ(intact.size(), cache.size());
     EXPECT_EQ(intact.frontierCount(), cache.frontierCount());
+    EXPECT_EQ(intact.segmentCount(), cache.segmentCount());
     std::remove(path.c_str());
 }
 

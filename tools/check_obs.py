@@ -32,8 +32,8 @@ evaluations, zero frontier misses, >= 1 frontier hit served from the
 mmap'd snapshot tier, and a mapped generation >= 1 — the
 multi-process smoke proof that every answer came copy-free out of
 the published file. --bench also validates the cache_eviction
-section (schema 5): nonzero evictions, resident bytes within the
-cap, and a bounded warm frontier-hit rate within 10 points of the
+section (schema 6): nonzero evictions, resident bytes within the
+cap, and a bounded warm segment-hit rate within 10 points of the
 unbounded ideal.
 
 Every given artifact is validated; any violation exits 1 with a
@@ -113,7 +113,6 @@ def check_stats(path, expect_failpoints=None,
                      "dse.segment.accepted", "dse.cache.seg_hits",
                      "dse.cache.seg_misses",
                      "dse.cache.quarantined", "dse.cache.evictions",
-                     "dse.cache.shared_hits",
                      "dse.cache.shared_front_hits",
                      "dse.cache.shared_seg_hits",
                      "dse.cache.remaps"):
@@ -256,16 +255,16 @@ def check_bench(path, max_overhead_pct, require_segment_dominance):
         print(f"ok: {path}: serve_load: {load['requests']} requests,"
               f" warm speedup {load['warm_speedup']}x, w4 warm "
               f"p99 {configs['w4_warm']['p99_ms']} ms")
-    # Schema 5: the bounded-cache eviction sweep. The bound must be
+    # Schema 6: the bounded-cache eviction sweep. The bound must be
     # real (evictions fired, footprint within cap) and must not cost
-    # warm frontier hits (within 10 points of the unbounded ideal).
+    # warm segment hits (within 10 points of the unbounded ideal).
     evict = doc.get("cache_eviction")
     if not isinstance(evict, dict):
         return fail(f"{path}: missing cache_eviction section "
-                    "(schema 5)")
+                    "(schema 6)")
     for key in ("working_set_bytes", "cap_bytes",
-                "unbounded_warm_front_hit_rate",
-                "bounded_warm_front_hit_rate", "evictions",
+                "unbounded_warm_seg_hit_rate",
+                "bounded_warm_seg_hit_rate", "evictions",
                 "resident_bytes", "ok"):
         if key not in evict:
             return fail(f"{path}: cache_eviction missing {key!r}")
@@ -275,21 +274,21 @@ def check_bench(path, max_overhead_pct, require_segment_dominance):
         fail(f"{path}: cache_eviction resident "
              f"{evict['resident_bytes']} B over cap "
              f"{evict['cap_bytes']} B")
-    if (evict["bounded_warm_front_hit_rate"]
-            < evict["unbounded_warm_front_hit_rate"] - 0.10):
-        fail(f"{path}: bounded warm frontier-hit rate "
-             f"{evict['bounded_warm_front_hit_rate']} fell more "
+    if (evict["bounded_warm_seg_hit_rate"]
+            < evict["unbounded_warm_seg_hit_rate"] - 0.10):
+        fail(f"{path}: bounded warm segment-hit rate "
+             f"{evict['bounded_warm_seg_hit_rate']} fell more "
              f"than 10 points below unbounded "
-             f"{evict['unbounded_warm_front_hit_rate']}")
+             f"{evict['unbounded_warm_seg_hit_rate']}")
     if not evict["ok"]:
         fail(f"{path}: cache_eviction self-reported failure")
     if not FAILURES:
         print(f"ok: {path}: cache_eviction: "
               f"{evict['evictions']} evictions, "
               f"{evict['resident_bytes']}/{evict['cap_bytes']} B "
-              f"resident, warm frontier rate "
-              f"{evict['bounded_warm_front_hit_rate']} vs "
-              f"{evict['unbounded_warm_front_hit_rate']} unbounded")
+              f"resident, warm segment rate "
+              f"{evict['bounded_warm_seg_hit_rate']} vs "
+              f"{evict['unbounded_warm_seg_hit_rate']} unbounded")
     if require_segment_dominance:
         seg = sweeps.get("segment_pipeline_rn50")
         if seg is None:
