@@ -72,17 +72,13 @@ using namespace lego;
 namespace
 {
 
-struct SweepNumbers
+/** One sweep's numbers: the optimized run's counter-table rows
+ *  (modelEvals, frontHits, ...) plus the naive baseline and the
+ *  sweep-specific results. */
+struct SweepNumbers : dse::DseCounts
 {
     std::string name;
-    std::uint64_t modelEvals = 0;      //!< runLayerWithEff calls (optimized).
     std::uint64_t naiveModelEvals = 0; //!< Same sweep, naive policy.
-    std::uint64_t frontHits = 0;   //!< Frontier-memo hits (any level).
-    std::uint64_t frontMisses = 0; //!< Frontier lookups that swept.
-    std::uint64_t mappingsPruned = 0;
-    std::uint64_t dataflowsPruned = 0;
-    std::uint64_t layersDeduped = 0;
-    std::uint64_t crossModelDeduped = 0;
     std::uint64_t frontierPoints = 0;
     /** Warm-pass frontier-memo hit share (serve_replay only). */
     double warmFrontHitRate = 0;
@@ -156,39 +152,6 @@ sameFrontier(const dse::ParetoArchive &a, const dse::ParetoArchive &b)
 // Schedule equality is the shared lego::sameSchedule — the same
 // comparator the serve loop's replay identities are pinned with.
 
-/** Counter snapshot so every sweep reports deltas, not lifetimes. */
-struct CounterSnap
-{
-    dse::CacheCounters cc;
-    dse::EvalCounters ec;
-};
-
-CounterSnap
-snapCounters(dse::DseEngine &engine)
-{
-    CounterSnap c;
-    c.cc = engine.cache().counters();
-    c.ec = engine.evaluator().counters();
-    return c;
-}
-
-void
-fillCounters(SweepNumbers *s, dse::DseEngine &engine,
-             const CounterSnap &c0)
-{
-    CounterSnap c1 = snapCounters(engine);
-    s->modelEvals = c1.ec.modelEvals - c0.ec.modelEvals;
-    s->frontHits = c1.cc.frontHits - c0.cc.frontHits;
-    s->frontMisses = c1.cc.frontMisses - c0.cc.frontMisses;
-    s->mappingsPruned =
-        c1.ec.mappingsPruned - c0.ec.mappingsPruned;
-    s->dataflowsPruned =
-        c1.ec.dataflowsPruned - c0.ec.dataflowsPruned;
-    s->layersDeduped = c1.ec.layersDeduped - c0.ec.layersDeduped;
-    s->crossModelDeduped =
-        c1.ec.crossModelDeduped - c0.ec.crossModelDeduped;
-}
-
 /** The timeloop_dse hardware sweep: exhaustive Eyeriss-box x RN50. */
 SweepNumbers
 sweepTimeloopExhaustive(const Model &rn50)
@@ -208,9 +171,9 @@ sweepTimeloopExhaustive(const Model &rn50)
     dse::DseOptions opt;
     opt.threads = 1;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
+    const dse::DseCounts c0 = engine.counters();
     dse::DseResult ro = engine.explore(space, rn50);
-    fillCounters(&s, engine, c0);
+    static_cast<dse::DseCounts &>(s) = engine.counters() - c0;
     s.wallSeconds = ro.stats.wallSeconds;
     s.frontierPoints = ro.archive.size();
     s.identicalOutput = sameFrontier(rn.archive, ro.archive);
@@ -241,13 +204,13 @@ sweepMappingSearch(const Model &rn50)
     dse::DseOptions opt;
     opt.threads = 1;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
+    const dse::DseCounts c0 = engine.counters();
     t0 = std::chrono::steady_clock::now();
     ScheduleResult b = engine.mapModel(eyeriss, rn50);
     s.wallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-    fillCounters(&s, engine, c0);
+    static_cast<dse::DseCounts &>(s) = engine.counters() - c0;
     s.identicalOutput = sameSchedule(a, b);
     return s;
 }
@@ -272,13 +235,13 @@ sweepMappingSearchWarm(const Model &rn50)
 
     // No separate naive engine here: the interesting numbers are 0
     // model evaluations and an all-hit frontier memo.
-    CounterSnap c0 = snapCounters(engine);
+    const dse::DseCounts c0 = engine.counters();
     auto t0 = std::chrono::steady_clock::now();
     ScheduleResult warm = engine.mapModel(eyeriss, rn50);
     s.wallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-    fillCounters(&s, engine, c0);
+    static_cast<dse::DseCounts &>(s) = engine.counters() - c0;
     s.naiveModelEvals = s.modelEvals;
     s.naiveWallSeconds = s.wallSeconds;
     s.identicalOutput = sameSchedule(cold, warm);
@@ -310,13 +273,13 @@ sweepBert()
     dse::DseOptions opt;
     opt.threads = 1;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
+    const dse::DseCounts c0 = engine.counters();
     t0 = std::chrono::steady_clock::now();
     ScheduleResult b = engine.mapModel(hw, bert);
     s.wallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-    fillCounters(&s, engine, c0);
+    static_cast<dse::DseCounts &>(s) = engine.counters() - c0;
     s.identicalOutput = sameSchedule(a, b);
     return s;
 }
@@ -355,13 +318,13 @@ sweepFrontierSearch(const Model &rn50)
     opt.threads = 1;
     opt.compose.frontierK = 8;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
+    const dse::DseCounts c0 = engine.counters();
     t0 = std::chrono::steady_clock::now();
     ScheduleResult b = engine.mapModelComposed(eyeriss, rn50);
     s.wallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-    fillCounters(&s, engine, c0);
+    static_cast<dse::DseCounts &>(s) = engine.counters() - c0;
     s.frontierPoints = b.compose.frontierPoints;
 
     // The scalar schedule from an untouched engine: the frontier
@@ -413,13 +376,13 @@ sweepMultiModel()
     dse::DseOptions opt;
     opt.threads = 1;
     dse::DseEngine engine(opt);
-    CounterSnap c0 = snapCounters(engine);
+    const dse::DseCounts c0 = engine.counters();
     t0 = std::chrono::steady_clock::now();
     std::vector<ScheduleResult> shared = engine.mapZoo(hw, zoo);
     s.wallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-    fillCounters(&s, engine, c0);
+    static_cast<dse::DseCounts &>(s) = engine.counters() - c0;
     s.identicalOutput = shared.size() == 3 &&
                         sameSchedule(na, shared[0]) &&
                         sameSchedule(ne, shared[1]) &&
@@ -484,11 +447,7 @@ sweepServeReplay()
         const dse::DseStats &ws = warm[i].stats.dse;
         warmLatencyMs.push_back(ws.wallSeconds * 1e3);
         s.naiveModelEvals += cs.modelEvals;
-        s.modelEvals += ws.modelEvals;
-        s.frontHits += ws.frontHits;
-        s.frontMisses += ws.frontMisses;
-        s.layersDeduped += ws.layersDeduped;
-        s.crossModelDeduped += ws.crossModelDeduped;
+        s += ws;
         // No request in this sweep carries a deadline and the queue
         // is unbounded, so a degraded or shed response here means
         // the robustness plumbing leaked into the exact path — fail
@@ -559,10 +518,10 @@ sweepCacheEviction(const Model &rn50)
     // new thread's empty L0 forces every frontier lookup through the
     // bounded L1 — the tier whose eviction policy is under test.
     auto warmRate = [&](dse::Evaluator &ev, dse::CostCache &cache) {
-        const dse::CacheCounters before = cache.counters();
+        const dse::DseCounts before = cache.counters();
         std::thread t([&] { replay(ev); });
         t.join();
-        const dse::CacheCounters d = cache.counters() - before;
+        const dse::DseCounts d = cache.counters() - before;
         const std::uint64_t lookups = d.segHits + d.segMisses;
         return lookups ? double(d.segHits) / double(lookups) : 0.0;
     };
@@ -581,7 +540,7 @@ sweepCacheEviction(const Model &rn50)
     dse::Evaluator ev(&cache);
     replay(ev); // Cold: fills past the bound, eviction batches fire.
     n.boundedWarmRate = warmRate(ev, cache);
-    n.evictions = cache.evictions();
+    n.evictions = cache.counters().evictions;
     n.residentBytes = cache.residentBytes();
     n.ok = n.evictions > 0 && n.residentBytes <= n.capBytes &&
            n.boundedWarmRate >= n.unboundedWarmRate - 0.10;
@@ -634,13 +593,13 @@ sweepSegmentPipeline(const Model &rn50)
     segOpt.threads = 1;
     segOpt.compose.segment.enable = true;
     dse::DseEngine segEngine(segOpt);
-    CounterSnap c0 = snapCounters(segEngine);
+    const dse::DseCounts c0 = segEngine.counters();
     t0 = std::chrono::steady_clock::now();
     ScheduleResult seg = segEngine.mapModelComposed(hw, rn50);
     s.wallSeconds = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-    fillCounters(&s, segEngine, c0);
+    static_cast<dse::DseCounts &>(s) = segEngine.counters() - c0;
 
     for (const Segment &g : seg.segments)
         if (g.pipelined())

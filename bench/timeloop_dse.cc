@@ -96,7 +96,7 @@ main()
                 100.0 * (1.0 - searched_e / fixed_e));
     std::printf("memo cache: %zu layer frontiers (%llu hits)\n",
                 mappingEngine.cache().frontierCount(),
-                (unsigned long long)mappingEngine.cache().frontHits());
+                (unsigned long long)mappingEngine.counters().frontHits);
 
     // ---- 2. hardware DSE in the Eyeriss-equivalent box -------------
     std::printf("\n=== Hardware DSE, Eyeriss-equivalent resource box "

@@ -111,16 +111,12 @@ onSignal(int sig)
 struct PassNumbers
 {
     std::vector<serve::ServeResponse> responses;
-    std::uint64_t modelEvals = 0;
-    std::uint64_t frontHits = 0;
-    std::uint64_t frontMisses = 0;
-    std::uint64_t sharedFrontHits = 0;
-    double wallSeconds = 0;
+    dse::DseStats sum; //!< Every response's stats, summed.
 
     double frontierHitRate() const
     {
-        const std::uint64_t total = frontHits + frontMisses;
-        return total ? double(frontHits) / double(total) : 0.0;
+        const std::uint64_t total = sum.frontHits + sum.frontMisses;
+        return total ? double(sum.frontHits) / double(total) : 0.0;
     }
 };
 
@@ -247,11 +243,8 @@ runPass(const char *label, const std::vector<TraceLine> &lines,
     pass.responses = loop.responses();
     for (const serve::ServeResponse &r : pass.responses) {
         const dse::DseStats &s = r.stats.dse;
-        pass.modelEvals += s.modelEvals;
-        pass.frontHits += s.frontHits;
-        pass.frontMisses += s.frontMisses;
-        pass.sharedFrontHits += s.sharedFrontHits;
-        pass.wallSeconds += s.wallSeconds;
+        pass.sum += s;
+        pass.sum.wallSeconds += s.wallSeconds;
         double cycles = 0, energy = 0;
         for (const ScheduleResult &sched : r.schedules) {
             cycles += double(sched.summary.totalCycles);
@@ -259,7 +252,7 @@ runPass(const char *label, const std::vector<TraceLine> &lines,
         }
         std::printf("  [%llu] %-14s %s models=%zu k=%zu "
                     "cycles=%.3e energy=%.3epJ evals=%llu "
-                    "front=%llu/%llu dedup=%llu/%llu wall=%.3fs%s%s\n",
+                    "front=%llu/%llu dedup=%llu/%llu wall=%.0fus%s%s\n",
                     (unsigned long long)r.seq, r.id.c_str(),
                     r.ok ? "ok " : "ERR", r.models.size(),
                     r.compose.frontierK, cycles, energy,
@@ -268,7 +261,7 @@ runPass(const char *label, const std::vector<TraceLine> &lines,
                     (unsigned long long)(s.frontHits + s.frontMisses),
                     (unsigned long long)s.layersDeduped,
                     (unsigned long long)s.crossModelDeduped,
-                    s.wallSeconds, r.ok ? "" : " — ",
+                    s.wallSeconds * 1e6, r.ok ? "" : " — ",
                     r.ok ? "" : r.error.c_str());
     }
     if (!loop.shutdown())
@@ -277,11 +270,11 @@ runPass(const char *label, const std::vector<TraceLine> &lines,
     std::printf("pass %-5s %zu requests, evals=%llu, frontier "
                 "hits %llu/%llu (%.1f%%), wall=%.3fs\n",
                 label, pass.responses.size(),
-                (unsigned long long)pass.modelEvals,
-                (unsigned long long)pass.frontHits,
-                (unsigned long long)(pass.frontHits +
-                                     pass.frontMisses),
-                100.0 * pass.frontierHitRate(), pass.wallSeconds);
+                (unsigned long long)pass.sum.modelEvals,
+                (unsigned long long)pass.sum.frontHits,
+                (unsigned long long)(pass.sum.frontHits +
+                                     pass.sum.frontMisses),
+                100.0 * pass.frontierHitRate(), pass.sum.wallSeconds);
     return pass;
 }
 
@@ -352,7 +345,7 @@ runChaosPass(const std::vector<TraceLine> &lines,
     pass.responses = loop.responses();
     for (const serve::ServeResponse &r : pass.responses)
         pass.modelEvals += r.stats.dse.modelEvals;
-    pass.quarantined = loop.engine().cache().quarantined();
+    pass.quarantined = loop.engine().cache().counters().quarantined;
     pass.flushOk = loop.shutdown();
     return pass;
 }
@@ -678,11 +671,11 @@ main(int argc, char **argv)
                             r.error.c_str());
                 ok = false;
             }
-        if (pass.modelEvals != 0) {
+        if (pass.sum.modelEvals != 0) {
             std::printf("FAIL: reader ran %llu model evaluations "
                         "(want 0 — every answer from the shared "
                         "snapshot)\n",
-                        (unsigned long long)pass.modelEvals);
+                        (unsigned long long)pass.sum.modelEvals);
             ok = false;
         }
         if (pass.frontierHitRate() < 0.90) {
@@ -691,7 +684,7 @@ main(int argc, char **argv)
                         100.0 * pass.frontierHitRate());
             ok = false;
         }
-        if (pass.sharedFrontHits == 0) {
+        if (pass.sum.sharedFrontHits == 0) {
             std::printf("FAIL: no frontier hit was served from the "
                         "mapped tier\n");
             ok = false;
@@ -770,13 +763,13 @@ main(int argc, char **argv)
                 ok = false;
             }
     }
-    if (warm.modelEvals != 0) {
+    if (warm.sum.modelEvals != 0) {
         std::printf("FAIL: warm pass ran %llu model evaluations "
                     "(want 0)\n",
-                    (unsigned long long)warm.modelEvals);
+                    (unsigned long long)warm.sum.modelEvals);
         ok = false;
     }
-    if (warm.frontHits + warm.frontMisses == 0) {
+    if (warm.sum.frontHits + warm.sum.frontMisses == 0) {
         std::printf("FAIL: warm pass made no frontier lookups — "
                     "trace has no K > 1 requests?\n");
         ok = false;

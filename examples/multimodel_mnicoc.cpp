@@ -60,7 +60,7 @@ main()
             shown++;
         }
     }
-    dse::EvalCounters c = engine.evaluator().counters();
+    dse::DseCounts c = engine.evaluator().counters();
     std::printf("zoo class table: %llu mapping searches for %zu "
                 "layer instances (%llu deduped, %llu shared "
                 "across models)\n",

@@ -12,7 +12,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "dse/stats_scope.hh"
 #include "model/layer_class.hh"
 #include "obs/failpoint.hh"
 #include "obs/trace.hh"
@@ -707,11 +706,10 @@ nextCacheId()
 
 } // namespace
 
-CostCache::CostCache(int shards) : id_(nextCacheId())
+CostCache::CostCache() : id_(nextCacheId())
 {
-    int n = shards < 1 ? 1 : shards;
-    shards_.reserve(std::size_t(n));
-    for (int s = 0; s < n; ++s)
+    shards_.reserve(kShards);
+    for (std::size_t s = 0; s < kShards; ++s)
         shards_.push_back(std::make_unique<Shard>());
 }
 
@@ -720,7 +718,7 @@ CostCache::~CostCache() = default;
 CostCache::Shard &
 CostCache::shardFor(const CacheKey &key)
 {
-    return *shards_[std::size_t(key.hashValue) % shards_.size()];
+    return *shards_[std::size_t(key.hashValue) % kShards];
 }
 
 // ---- bounded L1: capacity + epoch-batched cost-aware LRU ------------
@@ -829,7 +827,7 @@ CostCache::enforceCapacity()
             residentBytes_.fetch_sub(freed,
                                      std::memory_order_relaxed);
             entryCount_.fetch_sub(1, std::memory_order_relaxed);
-            bumpStat(evictions_, &StatsContext::evictions);
+            bumpStat(totals_, &StatsContext::evictions);
         }
     }
 }
@@ -865,7 +863,7 @@ CostCache::mapShared(bool countRemap)
     sharedGen_.store(shared_->view().generation(),
                      std::memory_order_relaxed);
     if (countRemap && hadPrevious)
-        remaps_.fetch_add(1, std::memory_order_relaxed);
+        bumpStat(totals_, &StatsContext::remaps);
     return true;
 }
 
@@ -943,7 +941,7 @@ CostCache::lookupFrontier(const CacheKey &key,
         auto it = s.fronts.find(key);
         if (it != s.fronts.end()) {
             it->second.lastUse = tick();
-            bumpStat(frontHits_, &StatsContext::frontHits);
+            bumpStat(totals_, &StatsContext::frontHits);
             *out = it->second.val;
             return true;
         }
@@ -955,13 +953,12 @@ CostCache::lookupFrontier(const CacheKey &key,
     if (std::shared_ptr<const SharedSnapshot> snap =
             sharedSnapshot()) {
         if (snap->view().lookupFrontier(key, out)) {
-            bumpStat(frontHits_, &StatsContext::frontHits);
-            bumpStat(sharedFrontHits_,
-                     &StatsContext::sharedFrontHits);
+            bumpStat(totals_, &StatsContext::frontHits);
+            bumpStat(totals_, &StatsContext::sharedFrontHits);
             return true;
         }
     }
-    bumpStat(frontMisses_, &StatsContext::frontMisses);
+    bumpStat(totals_, &StatsContext::frontMisses);
     return false;
 }
 
@@ -984,7 +981,7 @@ CostCache::insertFrontier(const CacheKey &key,
         }
     }
     if (created) {
-        frontInserts_.fetch_add(1, std::memory_order_relaxed);
+        bumpStat(totals_, &StatsContext::frontInserts);
         admitted(bytes);
     }
 }
@@ -997,7 +994,7 @@ CostCache::lookupFrontierFast(const CacheKey &key,
     L0Slot &slot = tlsFrontSlot(key);
     if (slot.used && slot.owner == id_ && slot.epoch == epoch &&
         slot.key == key) {
-        bumpStat(frontHits_, &StatsContext::frontHits);
+        bumpStat(totals_, &StatsContext::frontHits);
         *out = slot.val;
         return true;
     }
@@ -1037,7 +1034,7 @@ CostCache::lookupSegment(const CacheKey &key,
         auto it = s.segs.find(key);
         if (it != s.segs.end() && it->second.val.id == stages) {
             it->second.lastUse = tick();
-            bumpStat(segHits_, &StatsContext::segHits);
+            bumpStat(totals_, &StatsContext::segHits);
             *out = it->second.val;
             return true;
         }
@@ -1045,12 +1042,12 @@ CostCache::lookupSegment(const CacheKey &key,
     if (std::shared_ptr<const SharedSnapshot> snap =
             sharedSnapshot()) {
         if (snap->view().lookupSegment(key, stages, out)) {
-            bumpStat(segHits_, &StatsContext::segHits);
-            bumpStat(sharedSegHits_, &StatsContext::sharedSegHits);
+            bumpStat(totals_, &StatsContext::segHits);
+            bumpStat(totals_, &StatsContext::sharedSegHits);
             return true;
         }
     }
-    bumpStat(segMisses_, &StatsContext::segMisses);
+    bumpStat(totals_, &StatsContext::segMisses);
     return false;
 }
 
@@ -1074,7 +1071,7 @@ CostCache::insertSegment(const CacheKey &key, const SegmentRecord &rec)
         }
     }
     if (created) {
-        segInserts_.fetch_add(1, std::memory_order_relaxed);
+        bumpStat(totals_, &StatsContext::segInserts);
         admitted(bytes);
     }
 }
@@ -1446,7 +1443,7 @@ CostCache::loadOrQuarantine(const std::string &path)
                      "lego: cache file %s failed validation; "
                      "quarantined to %s (cold start)\n",
                      path.c_str(), aside.c_str());
-    quarantined_.fetch_add(1, std::memory_order_relaxed);
+    bumpStat(totals_, &StatsContext::quarantined);
     return st;
 }
 
@@ -1466,17 +1463,7 @@ CostCache::clear()
     epoch_.fetch_add(1, std::memory_order_relaxed);
     residentBytes_.store(0);
     entryCount_.store(0);
-    frontHits_.store(0);
-    frontMisses_.store(0);
-    frontInserts_.store(0);
-    segHits_.store(0);
-    segMisses_.store(0);
-    segInserts_.store(0);
-    quarantined_.store(0);
-    evictions_.store(0);
-    sharedFrontHits_.store(0);
-    sharedSegHits_.store(0);
-    remaps_.store(0);
+    totals_.reset();
 }
 
 } // namespace dse

@@ -18,7 +18,7 @@
  *    tier by resident bytes and/or entry count; inserts past the
  *    bound trigger epoch-batched, cost-aware LRU eviction
  *    (frontiers first, then segments — LRU order within each kind),
- *    with exact evictions()/residentBytes() counters.
+ *    with an exact evictions counter and residentBytes() gauge.
  *  - **Shared read-mostly tier** — the persistent file is an
  *    mmap-able, offset-based, CRC-covered snapshot holding
  *    open-addressed hash tables, so N processes attachShared() the
@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "dse/pareto.hh"
+#include "dse/stats_scope.hh"
 #include "model/layer_class.hh"
 #include "sim/perf.hh"
 #include "sim/segment_cost.hh"
@@ -136,53 +137,6 @@ struct SegmentRecord
 CacheKey makeSegmentKey(const HardwareConfig &hw,
                         const std::vector<SegmentKeyId> &stages);
 
-/**
- * Point-in-time snapshot of every CostCache counter, with a
- * subtraction operator so clients can report exact per-window deltas
- * (the perf bench's per-sweep numbers).
- */
-struct CacheCounters
-{
-    std::uint64_t frontHits = 0;   //!< Frontier hits (any level).
-    std::uint64_t frontMisses = 0; //!< Frontier full-sweep misses.
-    std::uint64_t frontInserts = 0;//!< Frontier entries created.
-    std::uint64_t segHits = 0;     //!< Segment-record hits.
-    std::uint64_t segMisses = 0;   //!< Segment-record misses.
-    std::uint64_t segInserts = 0;  //!< Segment entries created.
-    std::uint64_t quarantined = 0; //!< Corrupt files set aside.
-    std::uint64_t evictions = 0;   //!< Entries evicted (both kinds).
-    /** Shared mmap-tier hits; each is also counted in the matching
-     *  frontHits/segHits total, so hit-rate math is unchanged and
-     *  these attribute WHERE the hit was served from. */
-    std::uint64_t sharedFrontHits = 0;
-    std::uint64_t sharedSegHits = 0;
-    std::uint64_t remaps = 0;      //!< Shared-snapshot remaps.
-    /** Gauges (point-in-time values, not monotonic): a counter
-     *  subtraction carries the minuend's current reading instead of
-     *  differencing, so a shrinking resident set can never wrap. */
-    std::uint64_t residentBytes = 0; //!< L1 serialized footprint.
-    std::uint64_t generation = 0;    //!< Mapped snapshot generation.
-
-    CacheCounters operator-(const CacheCounters &o) const
-    {
-        CacheCounters d;
-        d.frontHits = frontHits - o.frontHits;
-        d.frontMisses = frontMisses - o.frontMisses;
-        d.frontInserts = frontInserts - o.frontInserts;
-        d.segHits = segHits - o.segHits;
-        d.segMisses = segMisses - o.segMisses;
-        d.segInserts = segInserts - o.segInserts;
-        d.quarantined = quarantined - o.quarantined;
-        d.evictions = evictions - o.evictions;
-        d.sharedFrontHits = sharedFrontHits - o.sharedFrontHits;
-        d.sharedSegHits = sharedSegHits - o.sharedSegHits;
-        d.remaps = remaps - o.remaps;
-        d.residentBytes = residentBytes; // Gauge: carry, don't diff.
-        d.generation = generation;       // Gauge: carry, don't diff.
-        return d;
-    }
-};
-
 /** What CostCache::loadEx found at the path. */
 enum class CacheLoadStatus
 {
@@ -229,13 +183,13 @@ class SharedSnapshot;
  * (attribution, not a new denominator), so a miss still means
  * "missed every tier". frontInserts/segInserts count entries
  * actually created (losing racers of a duplicate insert are not
- * counted), so frontInserts() + segInserts() - evictions() == size()
+ * counted), so frontInserts + segInserts - evictions == size()
  * on a cache that was never cleared.
  */
 class CostCache
 {
   public:
-    explicit CostCache(int shards = 16);
+    CostCache();
     ~CostCache();
 
     /**
@@ -312,9 +266,9 @@ class CostCache
      * deserialization, pages shared with every other process mapping
      * the same file. refreshShared() re-reads the published header
      * and atomically swaps in a new mapping when the generation
-     * stamp changed (counted in remaps()); in-flight probes keep
-     * using the old mapping until they finish — readers never block
-     * writers and vice versa.
+     * stamp changed (counted in the remaps row); in-flight probes
+     * keep using the old mapping until they finish — readers never
+     * block writers and vice versa.
      * @{
      */
 
@@ -332,48 +286,13 @@ class CostCache
 
     /** @} */
 
-    std::uint64_t frontHits() const { return frontHits_.load(); }
-    std::uint64_t frontMisses() const { return frontMisses_.load(); }
-    std::uint64_t frontInserts() const { return frontInserts_.load(); }
-    std::uint64_t segHits() const { return segHits_.load(); }
-    std::uint64_t segMisses() const { return segMisses_.load(); }
-    std::uint64_t segInserts() const { return segInserts_.load(); }
-    std::uint64_t quarantined() const { return quarantined_.load(); }
-    std::uint64_t evictions() const { return evictions_.load(); }
-    std::uint64_t sharedFrontHits() const
-    {
-        return sharedFrontHits_.load();
-    }
-    std::uint64_t sharedSegHits() const
-    {
-        return sharedSegHits_.load();
-    }
-    std::uint64_t remaps() const { return remaps_.load(); }
+    /** Snapshot of the cache rows of the counter table
+     *  (stats_scope.hh); the eval and segment rows read 0. */
+    DseCounts counters() const { return totals_.load(); }
     /** Exact serialized footprint of the resident L1 entries. */
     std::uint64_t residentBytes() const
     {
         return residentBytes_.load();
-    }
-
-    /** Snapshot of all counters in one call (relaxed loads; exact
-     *  when no lookup is concurrently in flight). */
-    CacheCounters counters() const
-    {
-        CacheCounters c;
-        c.frontHits = frontHits();
-        c.frontMisses = frontMisses();
-        c.frontInserts = frontInserts();
-        c.segHits = segHits();
-        c.segMisses = segMisses();
-        c.segInserts = segInserts();
-        c.quarantined = quarantined();
-        c.evictions = evictions();
-        c.sharedFrontHits = sharedFrontHits();
-        c.sharedSegHits = sharedSegHits();
-        c.remaps = remaps();
-        c.residentBytes = residentBytes();
-        c.generation = sharedGeneration();
-        return c;
     }
 
     /** Resident L1 entry count, both kinds. */
@@ -441,9 +360,9 @@ class CostCache
     /**
      * loadEx(), but a Corrupt file is additionally set aside by
      * renaming it to `path + ".corrupt"` (best-effort) and counted
-     * in quarantined(), so the next save() starts from a clean slate
-     * and the evidence survives for inspection instead of being
-     * overwritten.
+     * in the quarantined row, so the next save() starts from a clean
+     * slate and the evidence survives for inspection instead of
+     * being overwritten.
      */
     CacheLoadStatus loadOrQuarantine(const std::string &path);
 
@@ -471,6 +390,9 @@ class CostCache
                            CacheKeyHash>
             segs;
     };
+
+    /** Mutex shards the keys are distributed over by hash. */
+    static constexpr std::size_t kShards = 16;
 
     Shard &shardFor(const CacheKey &key);
 
@@ -520,17 +442,8 @@ class CostCache
     std::atomic<bool> sharedAttached_{false};
     std::atomic<std::uint64_t> sharedGen_{0};
 
-    std::atomic<std::uint64_t> frontHits_{0};
-    std::atomic<std::uint64_t> frontMisses_{0};
-    std::atomic<std::uint64_t> frontInserts_{0};
-    std::atomic<std::uint64_t> segHits_{0};
-    std::atomic<std::uint64_t> segMisses_{0};
-    std::atomic<std::uint64_t> segInserts_{0};
-    std::atomic<std::uint64_t> quarantined_{0};
-    std::atomic<std::uint64_t> evictions_{0};
-    std::atomic<std::uint64_t> sharedFrontHits_{0};
-    std::atomic<std::uint64_t> sharedSegHits_{0};
-    std::atomic<std::uint64_t> remaps_{0};
+    /** Lifetime totals of the cache rows. */
+    StatsContext totals_;
 };
 
 } // namespace dse

@@ -43,22 +43,8 @@ DseEngine::saveCache() const
 DseStats
 DseEngine::statsFrom(const StatsContext &ctx, double wallSeconds) const
 {
-    const auto get = [](const std::atomic<std::uint64_t> &v) {
-        return v.load(std::memory_order_relaxed);
-    };
     DseStats s;
-    s.frontHits = get(ctx.frontHits);
-    s.frontMisses = get(ctx.frontMisses);
-    s.segHits = get(ctx.segHits);
-    s.segMisses = get(ctx.segMisses);
-    s.evictions = get(ctx.evictions);
-    s.sharedFrontHits = get(ctx.sharedFrontHits);
-    s.sharedSegHits = get(ctx.sharedSegHits);
-    s.modelEvals = get(ctx.modelEvals);
-    s.mappingsPruned = get(ctx.mappingsPruned);
-    s.dataflowsPruned = get(ctx.dataflowsPruned);
-    s.layersDeduped = get(ctx.layersDeduped);
-    s.crossModelDeduped = get(ctx.crossModelDeduped);
+    static_cast<DseCounts &>(s) = ctx.load();
     // Gauges are whole-cache readings, not per-call attributions (a
     // StatsContext cannot carry a point-in-time footprint).
     s.residentBytes = cache_.residentBytes();
@@ -67,48 +53,29 @@ DseEngine::statsFrom(const StatsContext &ctx, double wallSeconds) const
     return s;
 }
 
+DseCounts
+DseEngine::counters() const
+{
+    DseCounts c = cache_.counters();
+    c += evaluator_.counters();
+    return c;
+}
+
 void
 DseEngine::publishMetrics(obs::MetricsRegistry &registry) const
 {
-    const CacheCounters cc = cache_.counters();
-    registry.counter("dse.cache.front_hits").set(cc.frontHits);
-    registry.counter("dse.cache.front_misses").set(cc.frontMisses);
-    registry.counter("dse.cache.front_inserts").set(cc.frontInserts);
-    registry.counter("dse.cache.seg_hits").set(cc.segHits);
-    registry.counter("dse.cache.seg_misses").set(cc.segMisses);
-    registry.counter("dse.cache.seg_inserts").set(cc.segInserts);
-    registry.counter("dse.cache.quarantined").set(cc.quarantined);
-    registry.counter("dse.cache.evictions").set(cc.evictions);
-    registry.counter("dse.cache.shared_front_hits")
-        .set(cc.sharedFrontHits);
-    registry.counter("dse.cache.shared_seg_hits")
-        .set(cc.sharedSegHits);
-    registry.counter("dse.cache.remaps").set(cc.remaps);
-    const EvalCounters ec = evaluator_.counters();
-    registry.counter("dse.eval.searches").set(ec.searches);
-    registry.counter("dse.eval.model_evals").set(ec.modelEvals);
-    registry.counter("dse.eval.mappings_pruned")
-        .set(ec.mappingsPruned);
-    registry.counter("dse.eval.dataflows_pruned")
-        .set(ec.dataflowsPruned);
-    registry.counter("dse.eval.layers_deduped")
-        .set(ec.layersDeduped);
-    registry.counter("dse.eval.cross_model_deduped")
-        .set(ec.crossModelDeduped);
-    const SegmentSearchStats seg = segmentStats();
-    registry.counter("dse.segment.runs").set(seg.chainRuns);
-    registry.counter("dse.segment.moves").set(seg.movesTried);
-    registry.counter("dse.segment.plans").set(seg.plansEvaluated);
-    registry.counter("dse.segment.infeasible").set(seg.infeasible);
-    registry.counter("dse.segment.accepted").set(seg.accepted);
+    const DseCounts c = counters();
+    for (const DseCounter &row : kDseCounters)
+        registry.counter(row.metric).set(c.*row.count);
     registry.gauge("dse.cache.entries").set(double(cache_.size()));
     registry.gauge("dse.cache.frontier_entries")
         .set(double(cache_.frontierCount()));
     registry.gauge("dse.cache.segment_entries")
         .set(double(cache_.segmentCount()));
     registry.gauge("dse.cache.resident_bytes")
-        .set(double(cc.residentBytes));
-    registry.gauge("dse.cache.generation").set(double(cc.generation));
+        .set(double(cache_.residentBytes()));
+    registry.gauge("dse.cache.generation")
+        .set(double(cache_.sharedGeneration()));
 }
 
 DseResult
@@ -228,21 +195,7 @@ DseEngine::searchSegmentPlan(const HardwareConfig &hw, const Model &m,
                              const SegmentOptions &sopt,
                              const CancelToken *cancel)
 {
-    SegmentSearchStats stats;
-    SegmentPlan plan =
-        searchSegments(hw, m, evaluator_, sopt, &stats, cancel);
-    // Overlapped serve requests run this from several threads; the
-    // plain-int accumulation must be serialized (the search itself
-    // is independent per call — only the roll-up is shared).
-    std::lock_guard<std::mutex> lk(segMu_);
-    segStats_.chainRuns += stats.chainRuns;
-    segStats_.movesTried += stats.movesTried;
-    segStats_.plansEvaluated += stats.plansEvaluated;
-    segStats_.infeasible += stats.infeasible;
-    segStats_.accepted += stats.accepted;
-    segStats_.cacheHits += stats.cacheHits;
-    segStats_.cacheMisses += stats.cacheMisses;
-    return plan;
+    return searchSegments(hw, m, evaluator_, sopt, cancel);
 }
 
 std::vector<ScheduleResult>

@@ -17,8 +17,6 @@
 #ifndef LEGO_DSE_ENGINE_HH
 #define LEGO_DSE_ENGINE_HH
 
-#include <mutex>
-
 #include "dse/evaluator.hh"
 #include "dse/segment_search.hh"
 #include "dse/stats_scope.hh"
@@ -78,7 +76,12 @@ struct DseOptions
     ComposeOptions compose;
 };
 
-struct DseStats
+/**
+ * One call's work: every counter-table row (stats_scope.hh) credited
+ * to the call — exact under overlapping calls — plus the
+ * strategy-level numbers, whole-cache gauges, and wall time.
+ */
+struct DseStats : DseCounts
 {
     std::size_t proposed = 0;  //!< Ids proposed by the strategy.
     std::size_t evaluated = 0; //!< Unique candidates actually scored.
@@ -89,35 +92,10 @@ struct DseStats
     std::uint64_t cacheHits = 0;
     std::uint64_t l0Hits = 0;
     std::uint64_t l0Misses = 0;
-    /** Frontier-memo hits (any cache level): whole per-layer
-     *  sweeps skipped. The warm-pass headline number. */
-    std::uint64_t frontHits = 0;
-    std::uint64_t frontMisses = 0; //!< Frontier lookups that swept.
-    /** Segment-record memo hits/misses (segmentation search only;
-     *  both zero when segmentation is off). */
-    std::uint64_t segHits = 0;
-    std::uint64_t segMisses = 0;
-    /** L1 entries evicted by the capacity bound in this window. */
-    std::uint64_t evictions = 0;
-    /** Hits served from the shared mmap tier (each also counted in
-     *  the matching frontHits/segHits total). */
-    std::uint64_t sharedFrontHits = 0;
-    std::uint64_t sharedSegHits = 0;
     /** Gauges at window close (not deltas): L1 serialized footprint
      *  and the mapped shared-snapshot generation (0 = none). */
     std::uint64_t residentBytes = 0;
     std::uint64_t generation = 0;
-    /** runLayerWithEff invocations credited to this call — the
-     *  hot-path unit of work. Exact under overlapping calls. */
-    std::uint64_t modelEvals = 0;
-    std::uint64_t mappingsPruned = 0;  //!< Tilings cut by the cycle bound.
-    /** Dataflows with no tiling evaluated before the global cut. */
-    std::uint64_t dataflowsPruned = 0;
-    std::uint64_t layersDeduped = 0;   //!< Layer instances broadcast, not searched.
-    /** Extra class-search shares a zoo-level table produced across
-     *  models. Fed only by zoo-level mapping (mapZooFrontier), so
-     *  explore() always reports 0. */
-    std::uint64_t crossModelDeduped = 0;
     double wallSeconds = 0;
 };
 
@@ -165,7 +143,7 @@ class DseEngine
 
     /**
      * Segmentation search through this engine's evaluator (and its
-     * memo cache), accumulating the engine's dse.segment.* stats.
+     * memo cache), counted in the evaluator's dse.segment.* rows.
      * Returns the all-singleton plan when `sopt.enable` is false or
      * no pipelined segment strictly dominates its serial execution.
      */
@@ -174,24 +152,13 @@ class DseEngine
                       const SegmentOptions &sopt,
                       const CancelToken *cancel = nullptr);
 
-    /** Cumulative segmentation-search work counters (all calls).
-     *  Returned by value: searchSegmentPlan may be accumulating
-     *  concurrently (overlapped serve requests), so a reference
-     *  would race. */
-    SegmentSearchStats segmentStats() const
-    {
-        std::lock_guard<std::mutex> lk(segMu_);
-        return segStats_;
-    }
-
     /**
      * Zoo-level mapping with one class table across models (see
      * Evaluator::mapZoo): classical K = 1 best-latency schedules,
      * one per model — options().compose does not apply here.
-     * Cross-model shares are surfaced through
-     * evaluator().counters().crossModelDeduped; for budget-composed
-     * zoo schedules, run evaluator().mapZooFrontier() and
-     * composeSchedule() per model.
+     * Cross-model shares are counted in the crossModelDeduped row;
+     * for budget-composed zoo schedules, run
+     * evaluator().mapZooFrontier() and composeSchedule() per model.
      */
     std::vector<ScheduleResult>
     mapZoo(const HardwareConfig &hw,
@@ -217,13 +184,16 @@ class DseEngine
      */
     bool saveCache() const;
 
+    /** Lifetime totals of every counter row: the cache's rows
+     *  plus the evaluator's. */
+    DseCounts counters() const;
+
     /**
-     * Mirror every engine counter (cache tiers, evaluator work) into
-     * `registry` under stable names ("dse.cache.front_hits",
-     * "dse.eval.model_evals", ... — the full map is in
-     * src/obs/README.md). The sources are monotonic, so registry
-     * snapshot/delta windows over them are exact when several
-     * engines or subsystems are reported together.
+     * Mirror every counter row into `registry` under its metric
+     * name from the counter table (stats_scope.hh), plus the cache
+     * gauges. The sources are monotonic, so registry snapshot/delta
+     * windows over them are exact when several engines or
+     * subsystems are reported together.
      */
     void publishMetrics(obs::MetricsRegistry &registry) const;
 
@@ -237,11 +207,6 @@ class DseEngine
     CostCache cache_;
     WorkerPool pool_;
     Evaluator evaluator_;
-    /** Guards segStats_: searchSegmentPlan runs on any serve thread
-     *  once requests overlap, and the plain-int accumulation below
-     *  would otherwise race. */
-    mutable std::mutex segMu_;
-    SegmentSearchStats segStats_;
 };
 
 } // namespace dse

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "dse/stats_scope.hh"
 #include "obs/trace.hh"
 
 namespace lego
@@ -107,7 +106,7 @@ LayerResult
 Evaluator::scoredRunLayer(const HardwareConfig &hw, const Layer &l,
                           const Mapping &map, double spatialEff) const
 {
-    bumpStat(modelEvals_, &StatsContext::modelEvals);
+    bumpStat(totals_, &StatsContext::modelEvals);
     return runLayerWithEff(hw, l, map, spatialEff);
 }
 
@@ -210,8 +209,7 @@ Evaluator::sweepFrontier(const HardwareConfig &hw, const Layer &l,
             const std::size_t i = order[oi];
             if (front.atCapacity() &&
                 bounds[i] > front.worst().result.cycles) {
-                bumpStat(mappingsPruned_,
-                         &StatsContext::mappingsPruned,
+                bumpStat(totals_, &StatsContext::mappingsPruned,
                          order.size() - oi);
                 break;
             }
@@ -233,8 +231,7 @@ Evaluator::sweepFrontier(const HardwareConfig &hw, const Layer &l,
         // worth evaluating against the frontier.
         for (std::size_t s = 0; s < spans.size(); ++s)
             if (evalsPerSpan[s] == 0)
-                bumpStat(dataflowsPruned_,
-                         &StatsContext::dataflowsPruned);
+                bumpStat(totals_, &StatsContext::dataflowsPruned);
     }
 
     if (front.empty()) {
@@ -261,7 +258,7 @@ Evaluator::searchMappingFrontier(const HardwareConfig &hw,
     LEGO_TRACE_SPAN_ARG("dse.search", "dse", "k", k);
     const std::size_t cap = k == 0 ? 1 : k;
     if (!l.isTensorOp()) {
-        searches_.fetch_add(1, std::memory_order_relaxed);
+        bumpStat(totals_, &StatsContext::searches);
         MappingFrontier front(cap);
         FrontierPoint p;
         p.result = runPpuLayer(hw, l);
@@ -283,7 +280,7 @@ Evaluator::searchMappingFrontier(const HardwareConfig &hw,
             return front;
         }
     }
-    searches_.fetch_add(1, std::memory_order_relaxed);
+    bumpStat(totals_, &StatsContext::searches);
     MappingFrontier front = sweepFrontier(hw, l, cap, cancel);
     // Never memoize under a tripped token: the sweep may have been
     // truncated, and a cached partial frontier would degrade LATER
@@ -343,7 +340,7 @@ Evaluator::mapModelFrontier(const HardwareConfig &hw, const Model &m,
         for (std::size_t c = 0; c < classes.size(); ++c)
             for (std::size_t idx : classes[c].members)
                 fronts[idx] = byClass[c];
-        bumpStat(layersDeduped_, &StatsContext::layersDeduped,
+        bumpStat(totals_, &StatsContext::layersDeduped,
                  m.layers.size() - classes.size());
     } else {
         auto mapOne = [&](std::size_t i) {
@@ -420,10 +417,9 @@ Evaluator::mapZooFrontier(const HardwareConfig &hw,
             fronts[ref.model][ref.layer] = byClass[c];
         crossModel += classes[c].distinctModels - 1;
     }
-    bumpStat(layersDeduped_, &StatsContext::layersDeduped,
+    bumpStat(totals_, &StatsContext::layersDeduped,
              totalLayers - classes.size());
-    bumpStat(crossModelDeduped_, &StatsContext::crossModelDeduped,
-             crossModel);
+    bumpStat(totals_, &StatsContext::crossModelDeduped, crossModel);
     return fronts;
 }
 
@@ -454,21 +450,6 @@ Evaluator::evaluate(const HardwareConfig &hw, const Model &m,
     p.powerMw = cost.totalPowerMw();
     p.summary = sched.summary;
     return p;
-}
-
-EvalCounters
-Evaluator::counters() const
-{
-    EvalCounters c;
-    c.searches = searches_.load(std::memory_order_relaxed);
-    c.layersDeduped = layersDeduped_.load(std::memory_order_relaxed);
-    c.crossModelDeduped =
-        crossModelDeduped_.load(std::memory_order_relaxed);
-    c.mappingsPruned = mappingsPruned_.load(std::memory_order_relaxed);
-    c.dataflowsPruned =
-        dataflowsPruned_.load(std::memory_order_relaxed);
-    c.modelEvals = modelEvals_.load(std::memory_order_relaxed);
-    return c;
 }
 
 } // namespace dse

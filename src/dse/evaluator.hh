@@ -46,6 +46,7 @@
 #include "dse/cancel.hh"
 #include "dse/cost_cache.hh"
 #include "dse/pareto.hh"
+#include "dse/stats_scope.hh"
 #include "dse/worker_pool.hh"
 #include "mapper/schedule.hh"
 #include "model/layer_class.hh"
@@ -107,26 +108,6 @@ struct EvalPolicy
      *  in the naive reference, which must re-sweep every repeated
      *  layer shape itself. */
     bool memoFrontiers = true;
-};
-
-/** Reuse/pruning work counters (monotonic, any-thread exact). */
-struct EvalCounters
-{
-    /** Frontier sweeps actually run (frontier-memo hits excluded). */
-    std::uint64_t searches = 0;
-    std::uint64_t layersDeduped = 0;   //!< Instances broadcast, not searched.
-    /** Extra broadcasts a zoo-level class table produced on top of
-     *  per-model dedup: for each class, one per additional *model*
-     *  sharing the shape. */
-    std::uint64_t crossModelDeduped = 0;
-    std::uint64_t mappingsPruned = 0;  //!< Tilings cut by the cycle bound.
-    /** Dataflows not one of whose tilings was evaluated before the
-     *  global bound cut ended the sweep. */
-    std::uint64_t dataflowsPruned = 0;
-    /** runLayerWithEff invocations issued by THIS evaluator — exact
-     *  even when other engines or mapper clients evaluate
-     *  concurrently in the process. */
-    std::uint64_t modelEvals = 0;
 };
 
 class Evaluator
@@ -191,8 +172,8 @@ class Evaluator
      * zoo, sharing one class table ACROSS models so shape-identical
      * layers of different networks are searched once. Returns one
      * frontier vector per model (aligned with that model's layers).
-     * Cross-model broadcasts are counted in
-     * counters().crossModelDeduped.
+     * Cross-model broadcasts are counted in the crossModelDeduped
+     * row.
      */
     std::vector<std::vector<MappingFrontier>>
     mapZooFrontier(const HardwareConfig &hw,
@@ -214,8 +195,21 @@ class Evaluator
     CostCache *cache() const { return cache_; }
     const EvalPolicy &policy() const { return policy_; }
 
-    /** Snapshot of the reuse/pruning counters. */
-    EvalCounters counters() const;
+    /** Snapshot of the eval and segment rows of the counter table
+     *  (stats_scope.hh), monotonic and any-thread exact; the cache
+     *  rows read 0. modelEvals counts THIS evaluator's
+     *  runLayerWithEff calls, exact even when other engines or
+     *  mapper clients evaluate concurrently in the process. */
+    DseCounts counters() const { return totals_.load(); }
+
+    /** Bump one of this evaluator's rows (and the current
+     *  StatsContext's) — how the segmentation search, which runs on
+     *  an evaluator, reports its work. */
+    void bump(std::atomic<std::uint64_t> StatsContext::*slot,
+              std::uint64_t n = 1) const
+    {
+        bumpStat(totals_, slot, n);
+    }
 
   private:
     LayerResult scoredRunLayer(const HardwareConfig &hw,
@@ -227,12 +221,8 @@ class Evaluator
 
     CostCache *cache_;
     EvalPolicy policy_;
-    mutable std::atomic<std::uint64_t> searches_{0};
-    mutable std::atomic<std::uint64_t> layersDeduped_{0};
-    mutable std::atomic<std::uint64_t> crossModelDeduped_{0};
-    mutable std::atomic<std::uint64_t> mappingsPruned_{0};
-    mutable std::atomic<std::uint64_t> dataflowsPruned_{0};
-    mutable std::atomic<std::uint64_t> modelEvals_{0};
+    /** Lifetime totals of the eval and segment rows. */
+    mutable StatsContext totals_;
 };
 
 } // namespace dse

@@ -73,11 +73,10 @@ class RunAnnealer
                 const std::vector<MappedLayer> &serial,
                 const SramPartitionTable &sram,
                 const NocPartitionTable &noc,
-                SegmentSearchStats *stats,
                 const CancelToken *cancel)
         : hw_(hw), m_(m), ev_(ev), opt_(opt), first_(first),
           len_(len), serial_(serial), sram_(sram), noc_(noc),
-          stats_(stats), cancel_(cancel),
+          cancel_(cancel),
           rng_(opt.seed ^ (0x9e3779b97f4a7c15ull * (first + 1)))
     {}
 
@@ -110,8 +109,7 @@ class RunAnnealer
                 break;
             }
             std::vector<Group> cand = propose(state);
-            if (stats_)
-                ++stats_->movesTried;
+            ev_.bump(&StatsContext::segMoves);
             if (cand.empty()) {
                 temp *= 0.97;
                 continue;
@@ -211,8 +209,7 @@ class RunAnnealer
             ge.energyPj = serial_[g.start].result.energyPj;
             return ge;
         }
-        if (stats_)
-            ++stats_->plansEvaluated;
+        ev_.bump(&StatsContext::segPlans);
 
         std::vector<SegmentKeyId> ids;
         ids.reserve(g.len);
@@ -226,12 +223,6 @@ class RunAnnealer
         if (cache) {
             key = makeSegmentKey(hw_, ids);
             hit = cache->lookupSegment(key, ids, &rec);
-            if (stats_) {
-                if (hit)
-                    ++stats_->cacheHits;
-                else
-                    ++stats_->cacheMisses;
-            }
         }
 
         Segment seg;
@@ -279,8 +270,8 @@ class RunAnnealer
                     cache->insertSegment(key, rec);
             }
         }
-        if (!seg.cost.feasible && stats_)
-            ++stats_->infeasible;
+        if (!seg.cost.feasible)
+            ev_.bump(&StatsContext::segInfeasible);
         ge.feasible = seg.cost.feasible;
         ge.cycles = seg.cost.cycles;
         ge.energyPj = seg.cost.energyPj;
@@ -414,8 +405,7 @@ class RunAnnealer
                 serialCost(g, &serialCycles, &serialEnergy);
                 if (ge.feasible && ge.cycles < serialCycles &&
                     ge.energyPj < serialEnergy) {
-                    if (stats_)
-                        ++stats_->accepted;
+                    ev_.bump(&StatsContext::segAccepted);
                     out->push_back(std::move(ge.seg));
                     continue;
                 }
@@ -437,7 +427,6 @@ class RunAnnealer
     const std::vector<MappedLayer> &serial_;
     const SramPartitionTable &sram_;
     const NocPartitionTable &noc_;
-    SegmentSearchStats *stats_;
     const CancelToken *cancel_;
     SplitMix64 rng_;
 };
@@ -447,7 +436,7 @@ class RunAnnealer
 SegmentPlan
 searchSegments(const HardwareConfig &hw, const Model &m,
                const Evaluator &ev, const SegmentOptions &opt,
-               SegmentSearchStats *stats, const CancelToken *cancel)
+               const CancelToken *cancel)
 {
     LEGO_TRACE_SPAN_ARG("dse.segment.search", "dse", "layers",
                         m.layers.size());
@@ -455,8 +444,7 @@ searchSegments(const HardwareConfig &hw, const Model &m,
         return singletonPlan(m);
 
     const auto runs = chainRuns(m);
-    if (stats)
-        stats->chainRuns += runs.size();
+    ev.bump(&StatsContext::segRuns, runs.size());
     if (runs.empty())
         return singletonPlan(m);
 
@@ -488,7 +476,7 @@ searchSegments(const HardwareConfig &hw, const Model &m,
             serial.begin() + long(run.first),
             serial.begin() + long(run.first + run.second));
         RunAnnealer annealer(hw, m, ev, opt, run.first, run.second,
-                             runSerial, sram, noc, stats, cancel);
+                             runSerial, sram, noc, cancel);
         annealer.run(&plan.segments);
         next = run.first + run.second;
     }

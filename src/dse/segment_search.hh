@@ -34,23 +34,14 @@ namespace lego
 namespace dse
 {
 
-/** Work counters of one searchSegments call. */
-struct SegmentSearchStats
-{
-    std::uint64_t chainRuns = 0;      //!< Chainable runs considered.
-    std::uint64_t movesTried = 0;     //!< Annealer moves proposed.
-    std::uint64_t plansEvaluated = 0; //!< Pipelined segments costed.
-    std::uint64_t infeasible = 0;     //!< Costed segments over capacity.
-    std::uint64_t accepted = 0;       //!< Pipelined segments in the plan.
-    std::uint64_t cacheHits = 0;      //!< Segment-record cache hits.
-    std::uint64_t cacheMisses = 0;    //!< Segment-record cache misses.
-};
-
 /**
  * Search a segmentation plan for `m` on `hw`. The evaluator supplies
  * the per-stage mapping searches (and its CostCache, when present,
- * memoizes both the per-stage frontiers and whole segment records). Returns the all-singleton plan when `opt.enable` is
- * false or nothing dominates.
+ * memoizes both the per-stage frontiers and whole segment records).
+ * Returns the all-singleton plan when `opt.enable` is false or
+ * nothing dominates. The search's work is counted in the
+ * evaluator's dse.segment.* rows (stats_scope.hh), so a
+ * StatsContext scope around the call sees exactly this call's work.
  *
  * A non-null `cancel` bounds the search: annealing rounds stop at
  * the first tripped check and the best state found so far is
@@ -61,7 +52,6 @@ struct SegmentSearchStats
 SegmentPlan searchSegments(const HardwareConfig &hw, const Model &m,
                            const Evaluator &ev,
                            const SegmentOptions &opt,
-                           SegmentSearchStats *stats = nullptr,
                            const CancelToken *cancel = nullptr);
 
 } // namespace dse

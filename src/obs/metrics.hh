@@ -9,12 +9,10 @@
  * (obs/trace.hh): traces answer "what did THIS request/sweep do",
  * metrics answer "what has the process been doing" — request rates,
  * queue-wait and request-latency distributions, cache tier hits.
- * The registry's snapshot/delta API subsumes the ad-hoc
- * DseStats/CacheCounters plumbing: DseEngine::publishMetrics mirrors
- * every engine counter into a registry under stable names (see
- * src/obs/README.md for the name map), so one
- * MetricsSnapshot::delta covers engine work, cache tiers, pool
- * contention, and serve traffic in one shot.
+ * DseEngine::publishMetrics mirrors every row of the DSE counter
+ * table (src/dse/stats_scope.hh) into a registry under its metric
+ * name, so one MetricsSnapshot::delta covers engine work, cache
+ * tiers, pool contention, and serve traffic in one shot.
  *
  * All recording paths are wait-free (relaxed atomics, CAS loops for
  * doubles) and observational only: metrics never feed back into
@@ -45,7 +43,7 @@ void atomicMax(std::atomic<double> *target, double v);
 
 /**
  * Monotonic counter. add() for in-process events; set() mirrors an
- * EXTERNAL monotonic counter (e.g. CostCache::counters() fields)
+ * EXTERNAL monotonic counter (e.g. a DseEngine::counters() row)
  * into the registry so snapshot deltas subtract correctly.
  */
 class Counter

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <thread>
@@ -24,10 +25,10 @@ namespace lego
 namespace
 {
 
-using dse::CacheCounters;
 using dse::CacheKey;
 using dse::CacheLoadStatus;
 using dse::CostCache;
+using dse::DseCounts;
 using dse::StatsContext;
 
 /** Serialized footprint of one single-point frontier entry: 32 key
@@ -93,15 +94,15 @@ TEST(CacheEviction, EntryExactlyAtCapacityIsNotEvicted)
     // Exactly AT the byte bound: the contract is "evict past", not
     // "evict at" — a capacity equal to the working set must hold it.
     EXPECT_EQ(cache.residentBytes(), kEntryBytes * 4);
-    EXPECT_EQ(cache.evictions(), 0u);
+    EXPECT_EQ(cache.counters().evictions, 0u);
     EXPECT_EQ(cache.size(), 4u);
 
     // One entry beyond trips a batch: down to <= 7/8 of the bound.
     cache.insertFrontier(syntheticKey(4), syntheticFrontier(4));
-    EXPECT_GT(cache.evictions(), 0u);
+    EXPECT_GT(cache.counters().evictions, 0u);
     EXPECT_LE(cache.residentBytes(),
               kEntryBytes * 4 - (kEntryBytes * 4) / 8);
-    EXPECT_EQ(cache.frontInserts() - cache.evictions(),
+    EXPECT_EQ(cache.counters().frontInserts - cache.counters().evictions,
               cache.frontierCount());
 }
 
@@ -120,7 +121,7 @@ TEST(CacheEviction, LruOrderRespectsLookupRecency)
     // Bound to 5 entries: the batch evicts down to 7/8 * 5 = 5, so
     // exactly the 3 least-recently-used (4, 5, 6) go.
     cache.setCapacity(0, 5);
-    EXPECT_EQ(cache.evictions(), 3u);
+    EXPECT_EQ(cache.counters().evictions, 3u);
     EXPECT_EQ(cache.size(), 5u);
     for (std::uint64_t i : {4ull, 5ull, 6ull})
         EXPECT_FALSE(cache.lookupFrontier(syntheticKey(i), &out)) << i;
@@ -148,8 +149,8 @@ TEST(CacheEviction, CountersStayExactUnderTwoThreadInterleaving)
     std::thread a(worker, 0), b(worker, 10000);
     a.join();
     b.join();
-    EXPECT_GT(cache.evictions(), 0u);
-    EXPECT_EQ(cache.frontInserts() - cache.evictions(),
+    EXPECT_GT(cache.counters().evictions, 0u);
+    EXPECT_EQ(cache.counters().frontInserts - cache.counters().evictions,
               cache.frontierCount());
     EXPECT_EQ(cache.size(), cache.frontierCount());
     EXPECT_EQ(cache.residentBytes(), cache.frontierCount() * kEntryBytes);
@@ -188,13 +189,13 @@ TEST(CacheEviction, WarmSegmentHitRateSurvivesBoundedReplay)
     bounded.setCapacity(0, 2 * segs);
     dse::Evaluator ev(&bounded);
     replay(ev); // Cold: fills + evicts.
-    EXPECT_GT(bounded.evictions(), 0u);
+    EXPECT_GT(bounded.counters().evictions, 0u);
     EXPECT_LE(bounded.size(), 2 * segs);
     EXPECT_EQ(bounded.segmentCount(), segs);
 
-    const CacheCounters before = bounded.counters();
+    const DseCounts before = bounded.counters();
     replay(ev);
-    const CacheCounters delta = bounded.counters() - before;
+    const DseCounts delta = bounded.counters() - before;
     EXPECT_GT(delta.segHits, 0u);
     EXPECT_EQ(delta.segMisses, 0u); // 100% warm segment hits.
 }
@@ -218,7 +219,7 @@ TEST(CacheCompat, OlderFormatFixturesAreStaleNeverQuarantined)
         CostCache cache;
         EXPECT_EQ(cache.loadOrQuarantine(path), CacheLoadStatus::Stale)
             << name;
-        EXPECT_EQ(cache.quarantined(), 0u) << name;
+        EXPECT_EQ(cache.counters().quarantined, 0u) << name;
         EXPECT_EQ(cache.size(), 0u) << name;
         EXPECT_TRUE(fileExists(path)) << name;
         EXPECT_FALSE(fileExists(path + ".corrupt")) << name;
@@ -239,7 +240,7 @@ TEST(CacheCompat, CorruptV6FixtureQuarantinesByteVerbatim)
 
     CostCache cache;
     EXPECT_EQ(cache.loadOrQuarantine(path), CacheLoadStatus::Corrupt);
-    EXPECT_EQ(cache.quarantined(), 1u);
+    EXPECT_EQ(cache.counters().quarantined, 1u);
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_FALSE(fileExists(path)); // Moved aside, not deleted.
     ASSERT_TRUE(fileExists(aside));
@@ -267,6 +268,130 @@ publishSnapshot(const std::string &path, CostCache *cache)
     ASSERT_TRUE(cache->save(path));
 }
 
+/** IEEE CRC32 (reflected 0xEDB88320), bit at a time: the cache
+ *  file's header and body checksum. */
+std::uint32_t
+ieeeCrc32(const char *data, std::size_t n)
+{
+    std::uint32_t c = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= std::uint8_t(data[i]);
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return ~c;
+}
+
+/** Re-seal a v6 image after an edit: body CRC (word 14) over every
+ *  byte past the 16-word header, then header CRC (word 15) over
+ *  words 0..14 — so only the structural checks can reject it. */
+void
+resealV6(std::vector<std::uint64_t> *w)
+{
+    const char *b = reinterpret_cast<const char *>(w->data());
+    (*w)[14] = ieeeCrc32(b + 16 * 8, (w->size() - 16) * 8);
+    (*w)[15] = ieeeCrc32(b, 15 * 8);
+}
+
+/** A v6 image whose CRCs are valid but whose counts, slot values or
+ *  heap references point outside the file: loadEx reports Corrupt
+ *  and merges nothing, attachShared maps nothing. (Bit flips fail
+ *  the CRCs first and truncation fails the length check first, so
+ *  only re-sealed images reach these checks.) */
+TEST(CacheCompat, ValidCrcsWithOutOfRangeStructureAreCorrupt)
+{
+    const std::string path =
+        testing::TempDir() + "lego_cache_v6_structure.bin";
+    std::remove(path.c_str());
+    {
+        CostCache writer;
+        publishSnapshot(path, &writer);
+    }
+    const std::string bytes = slurp(path);
+    ASSERT_EQ(bytes.size() % 8, 0u);
+    std::vector<std::uint64_t> image(bytes.size() / 8);
+    std::memcpy(image.data(), bytes.data(), bytes.size());
+
+    // Layout from the header (all in words): 16-word header, then
+    // frontier slots, frontier entries, segment slots, segment
+    // entries, heap. Entries are 32 key words + item count + heap
+    // offset.
+    const std::uint64_t fSlots = image[4], fCount = image[5];
+    const std::uint64_t gSlots = image[6], gCount = image[7];
+    const std::uint64_t heapWords = image[8];
+    ASSERT_GT(fCount, 0u);
+    ASSERT_GT(gCount, 0u);
+    const std::uint64_t kEntry = 34;
+    const std::uint64_t frontSlotsAt = 16;
+    const std::uint64_t frontEntriesAt = frontSlotsAt + fSlots;
+    const std::uint64_t segSlotsAt = frontEntriesAt + fCount * kEntry;
+    const std::uint64_t segEntriesAt = segSlotsAt + gSlots;
+    ASSERT_EQ(segEntriesAt + gCount * kEntry + heapWords, image.size());
+    const std::uint64_t lastFront = frontEntriesAt + (fCount - 1) * kEntry;
+    const std::uint64_t lastSeg = segEntriesAt + (gCount - 1) * kEntry;
+
+    struct Edit
+    {
+        const char *what;
+        std::uint64_t word;
+        std::uint64_t value;
+    };
+    const Edit edits[] = {
+        {"frontier count past the file", 5, ~0ull / 2},
+        {"frontier count off by one", 5, fCount + 1},
+        {"segment count past the file", 7, ~0ull / 2},
+        {"frontier slots not the count's table size", 4, fSlots * 2},
+        {"segment slots past the file", 6, ~0ull},
+        {"heap longer than the file", 8, heapWords + 1},
+        {"heap past the file", 8, ~0ull},
+        {"total words off by one", 9, image.size() + 1},
+        {"frontier slot past the entries", frontSlotsAt, fCount + 1},
+        {"segment slot past the entries", segSlotsAt + gSlots - 1,
+         gCount + 1},
+        {"empty frontier", lastFront + 32, 0},
+        {"frontier points past the heap", lastFront + 32, heapWords},
+        {"frontier heap offset past the heap", lastFront + 33,
+         heapWords},
+        {"frontier heap offset wraps", lastFront + 33, ~0ull},
+        {"one-stage segment", lastSeg + 32, 1},
+        {"segment stages past the heap", lastSeg + 32, heapWords},
+        {"segment heap offset past the heap", lastSeg + 33, heapWords},
+        {"segment heap offset wraps", lastSeg + 33, ~0ull - 3},
+    };
+
+    const auto writeImage = [&](const std::vector<std::uint64_t> &w) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(w.data()),
+                  std::streamsize(w.size() * 8));
+        return static_cast<bool>(out);
+    };
+
+    // Control: re-sealing an unedited image keeps it loadable, so
+    // every rejection below is the edit's doing.
+    std::vector<std::uint64_t> control = image;
+    resealV6(&control);
+    ASSERT_EQ(control, image);
+
+    for (const Edit &e : edits) {
+        ASSERT_LT(e.word, image.size()) << e.what;
+        ASSERT_TRUE(e.word < 14 || e.word >= 16) << e.what; // CRCs.
+        std::vector<std::uint64_t> w = image;
+        w[e.word] = e.value;
+        resealV6(&w);
+        ASSERT_TRUE(writeImage(w)) << e.what;
+
+        CostCache cache;
+        EXPECT_EQ(cache.loadEx(path), CacheLoadStatus::Corrupt)
+            << e.what;
+        EXPECT_EQ(cache.size(), 0u) << e.what;
+
+        CostCache reader;
+        EXPECT_FALSE(reader.attachShared(path)) << e.what;
+        EXPECT_EQ(reader.sharedGeneration(), 0u) << e.what;
+    }
+    std::remove(path.c_str());
+}
+
 TEST(SharedCache, ReaderServesEntirelyFromMappedSnapshot)
 {
     const std::string path =
@@ -287,19 +412,19 @@ TEST(SharedCache, ReaderServesEntirelyFromMappedSnapshot)
     ScheduleResult viaShared = ev.mapModel(hw, m);
     EXPECT_EQ(ev.counters().modelEvals, 0u)
         << "every evaluation should have come from the snapshot";
-    EXPECT_GT(reader.sharedFrontHits(), 0u);
+    EXPECT_GT(reader.counters().sharedFrontHits, 0u);
     // Shared hits never copy into L1 (pages must stay shared):
     // inserts would be the tell.
-    EXPECT_EQ(reader.frontInserts(), 0u);
+    EXPECT_EQ(reader.counters().frontInserts, 0u);
     EXPECT_EQ(reader.residentBytes(), 0u);
 
     // Frontier + segment kinds probe the snapshot too.
-    const dse::CacheCounters before = reader.counters();
+    const dse::DseCounts before = reader.counters();
     ev.mapModelFrontier(hw, m, 4);
     SegmentOptions sopt;
     sopt.enable = true;
     dse::searchSegments(hw, m, ev, sopt);
-    const dse::CacheCounters delta = reader.counters() - before;
+    const dse::DseCounts delta = reader.counters() - before;
     EXPECT_GT(delta.sharedFrontHits, 0u);
     EXPECT_GT(delta.sharedSegHits, 0u);
     EXPECT_EQ(delta.frontMisses, 0u);
@@ -329,7 +454,7 @@ TEST(SharedCache, GenerationChangeRemapsAtomically)
     EXPECT_EQ(reader.sharedGeneration(), 1u);
     // No republish → refresh is a cheap no-op (header read only).
     EXPECT_FALSE(reader.refreshShared());
-    EXPECT_EQ(reader.remaps(), 0u);
+    EXPECT_EQ(reader.counters().remaps, 0u);
 
     // Idempotent republish (identical content) keeps the generation:
     // readers must not churn mappings for bytes they already have.
@@ -346,13 +471,13 @@ TEST(SharedCache, GenerationChangeRemapsAtomically)
     ASSERT_TRUE(writer.save(path));
     EXPECT_TRUE(reader.refreshShared());
     EXPECT_EQ(reader.sharedGeneration(), 2u);
-    EXPECT_EQ(reader.remaps(), 1u);
+    EXPECT_EQ(reader.counters().remaps, 1u);
 
     // The new entries are visible through the new mapping.
     std::vector<dse::FrontierPoint> pts;
     EXPECT_TRUE(reader.lookupFrontier(
         dse::makeFrontierKey(hw, m.layers[0], 4), &pts));
-    EXPECT_GT(reader.sharedFrontHits(), 0u);
+    EXPECT_GT(reader.counters().sharedFrontHits, 0u);
     std::remove(path.c_str());
 }
 
@@ -383,7 +508,7 @@ TEST(SharedCache, StatsContextAttributesEvictionsAndSharedHits)
     for (std::uint64_t i = 100; i < 110; ++i)
         reader.insertFrontier(syntheticKey(i), syntheticFrontier(i));
     EXPECT_GT(ctx.evictions.load(), 0u);
-    EXPECT_EQ(ctx.evictions.load(), reader.evictions());
+    EXPECT_EQ(ctx.evictions.load(), reader.counters().evictions);
     std::remove(path.c_str());
 }
 

@@ -81,7 +81,7 @@ TEST(CostCache, CachedEqualsFresh)
     MappedLayer c = fresh.searchMapping(hw, l);
     // The repeat K = 1 search is answered by the frontier memo: no
     // sweep, no model evaluation.
-    EXPECT_EQ(cache.frontHits(), 1u);
+    EXPECT_EQ(cache.counters().frontHits, 1u);
     EXPECT_EQ(cached.counters().searches, 1u);
     EXPECT_EQ(cached.counters().modelEvals, coldEvals);
 
@@ -157,7 +157,7 @@ TEST(CostCache, SharedShapesHitAcrossLayers)
     CostCache cache2;
     Evaluator e2(&cache2, naiveDedup);
     ScheduleResult r2 = e2.mapModel(HardwareConfig{}, m);
-    EXPECT_EQ(cache2.frontHits(), 1u); // Second twin fully memoized.
+    EXPECT_EQ(cache2.counters().frontHits, 1u); // Second twin fully memoized.
     EXPECT_EQ(e2.counters().searches, 1u);
     EXPECT_EQ(r2.perLayer[0].result.cycles,
               r2.perLayer[1].result.cycles);
@@ -492,9 +492,9 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
         // candidate once, and inserts once.
         engine.mapModel(HardwareConfig{}, m);
         dse::CostCache &cache = engine.cache();
-        EXPECT_EQ(cache.frontHits(), 0u) << threads;
-        EXPECT_EQ(cache.frontMisses(), layers) << threads;
-        EXPECT_EQ(cache.frontInserts(), layers) << threads;
+        EXPECT_EQ(cache.counters().frontHits, 0u) << threads;
+        EXPECT_EQ(cache.counters().frontMisses, layers) << threads;
+        EXPECT_EQ(cache.counters().frontInserts, layers) << threads;
         EXPECT_EQ(cache.size(), layers) << threads;
         EXPECT_EQ(engine.evaluator().counters().modelEvals, candidates)
             << threads;
@@ -503,9 +503,9 @@ TEST(CostCache, CountersExactUnderWorkerCounts)
         // or L1 (first touch from a new worker), counted exactly
         // once either way — with no new misses, inserts, or evals.
         engine.mapModel(HardwareConfig{}, m);
-        EXPECT_EQ(cache.frontHits(), layers) << threads;
-        EXPECT_EQ(cache.frontMisses(), layers) << threads;
-        EXPECT_EQ(cache.frontInserts(), layers) << threads;
+        EXPECT_EQ(cache.counters().frontHits, layers) << threads;
+        EXPECT_EQ(cache.counters().frontMisses, layers) << threads;
+        EXPECT_EQ(cache.counters().frontInserts, layers) << threads;
         EXPECT_EQ(cache.size(), layers) << threads;
         EXPECT_EQ(engine.evaluator().counters().modelEvals, candidates)
             << threads;
@@ -605,7 +605,7 @@ TEST(Engine, ExploreStatsCreditWorkOnEveryWorker)
     DseResult r8 = e8.explore(space, m);
     ASSERT_GT(r8.stats.modelEvals, 0u);
     EXPECT_EQ(r8.stats.modelEvals, e8.evaluator().counters().modelEvals);
-    EXPECT_EQ(r8.stats.frontMisses, e8.cache().frontMisses());
+    EXPECT_EQ(r8.stats.frontMisses, e8.cache().counters().frontMisses);
     EXPECT_EQ(r8.stats.modelEvals, r1.stats.modelEvals);
     EXPECT_EQ(r8.stats.frontMisses, r1.stats.frontMisses);
     EXPECT_EQ(r8.stats.mappingsPruned, r1.stats.mappingsPruned);

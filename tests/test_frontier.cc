@@ -241,13 +241,13 @@ TEST(FrontierMemo, MemoizedEqualsFresh)
     CostCache cache;
     Evaluator cached(&cache);
     MappingFrontier a = cached.searchMappingFrontier(hw, l, 4);
-    EXPECT_EQ(cache.frontMisses(), 1u);
-    EXPECT_EQ(cache.frontInserts(), 1u);
+    EXPECT_EQ(cache.counters().frontMisses, 1u);
+    EXPECT_EQ(cache.counters().frontInserts, 1u);
     EXPECT_EQ(cache.frontierCount(), 1u);
     std::uint64_t evals = cached.counters().modelEvals;
 
     MappingFrontier b = cached.searchMappingFrontier(hw, l, 4);
-    EXPECT_EQ(cache.frontHits(), 1u);
+    EXPECT_EQ(cache.counters().frontHits, 1u);
     // A frontier hit skips the sweep entirely: no new evaluations.
     EXPECT_EQ(cached.counters().modelEvals, evals);
     expectSameFrontier(a, b);
@@ -266,9 +266,9 @@ TEST(FrontierMemo, MemoizedEqualsFresh)
     MappingFrontier k1 = cached.searchMappingFrontier(hw, l, 1);
     EXPECT_EQ(cache.frontierCount(), 3u);
     evals = cached.counters().modelEvals;
-    const std::uint64_t hits = cache.frontHits();
+    const std::uint64_t hits = cache.counters().frontHits;
     expectSameFrontier(k1, cached.searchMappingFrontier(hw, l, 1));
-    EXPECT_EQ(cache.frontHits(), hits + 1);
+    EXPECT_EQ(cache.counters().frontHits, hits + 1);
     EXPECT_EQ(cached.counters().modelEvals, evals);
 }
 
@@ -285,7 +285,7 @@ TEST(FrontierMemo, WarmK1MapModelSkipsTheSweep)
     CostCache cache;
     Evaluator ev(&cache);
     ScheduleResult cold = ev.mapModel(hw, m);
-    const dse::EvalCounters before = ev.counters();
+    const dse::DseCounts before = ev.counters();
     ASSERT_GT(before.searches, 0u);
     ASSERT_GT(before.modelEvals, 0u);
 

@@ -192,7 +192,7 @@ TEST(ObsMetrics, SnapshotDeltaWindowsAreExact)
 TEST(ObsMetrics, CounterSetMirrorsExternalMonotonicSources)
 {
     // Counter::set is how DseEngine::publishMetrics mirrors
-    // CacheCounters: absolute stores, exact snapshot deltas.
+    // DseCounts: absolute stores, exact snapshot deltas.
     obs::MetricsRegistry reg;
     reg.counter("ext").set(100);
     const obs::MetricsSnapshot before = reg.snapshot();
@@ -227,6 +227,11 @@ TEST(ObsMetrics, EnginePublishMetricsMirrorsCounters)
               engine.cache().counters().frontInserts);
     EXPECT_GT(s.counters.at("dse.cache.front_inserts"), 0u);
     EXPECT_GT(s.counters.at("dse.eval.model_evals"), 0u);
+    // Every counter-table row is published under its metric name.
+    const dse::DseCounts c = engine.counters();
+    for (const dse::DseCounter &row : dse::kDseCounters)
+        EXPECT_EQ(s.counters.at(row.metric), c.*row.count)
+            << row.metric;
 }
 
 // ---- tracer ----------------------------------------------------------

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <thread>
 
 #include "lego.hh"
 
@@ -26,7 +27,6 @@ using dse::CostCache;
 using dse::DseEngine;
 using dse::DseOptions;
 using dse::Evaluator;
-using dse::SegmentSearchStats;
 using serve::ServeLoop;
 using serve::ServeOptions;
 using serve::ServeRequest;
@@ -246,8 +246,8 @@ TEST(SegmentSearch, WorkerCountAndWarmDeterminism)
     ScheduleResult warm = e1.mapModelComposed(hw, m);
     EXPECT_TRUE(sameSchedule(r1, warm));
     expectSameSegments(r1.segments, warm.segments);
-    EXPECT_GT(e1.cache().segHits(), 0u);
-    EXPECT_GT(e1.segmentStats().movesTried, 0u);
+    EXPECT_GT(e1.cache().counters().segHits, 0u);
+    EXPECT_GT(e1.counters().segMoves, 0u);
 }
 
 /** Segmentation disabled (the default) leaves the engine's composed
@@ -279,10 +279,10 @@ TEST(SegmentSearch, AcceptedSegmentsStrictlyDominate)
     Evaluator ev;
     SegmentOptions sopt;
     sopt.enable = true;
-    SegmentSearchStats stats;
-    SegmentPlan plan = dse::searchSegments(hw, m, ev, sopt, &stats);
-    EXPECT_GT(stats.chainRuns, 0u);
-    EXPECT_GT(stats.plansEvaluated, 0u);
+    SegmentPlan plan = dse::searchSegments(hw, m, ev, sopt);
+    EXPECT_EQ(ev.counters().segRuns, 2u);
+    EXPECT_GT(ev.counters().segPlans, 0u);
+    EXPECT_GT(ev.counters().segAccepted, 0u);
 
     bool sawPipelined = false;
     for (const Segment &s : plan.segments) {
@@ -316,6 +316,57 @@ TEST(SegmentSearch, AcceptedSegmentsStrictlyDominate)
               serial.summary.totalEnergyPj);
 }
 
+/** The segmentation search's rows are per-call exact under
+ *  overlap: two searches run concurrently on one evaluator, each
+ *  under its own StatsContext, each report exactly what they report
+ *  when run alone, and together exactly the evaluator's totals. */
+TEST(SegmentSearch, StatsExactPerCallUnderOverlap)
+{
+    HardwareConfig hw;
+    hw.dram.bandwidthGBs = 4.0;
+    SegmentOptions sopt;
+    sopt.enable = true;
+    const Model a = chainModel();
+    Model b = chainModel();
+    b.layers.resize(4); // The conv run only: different work.
+
+    // No cache: every count is a pure function of the call.
+    const auto alone = [&](const Model &m) {
+        Evaluator ev;
+        dse::StatsContext ctx;
+        dse::StatsContext::Scope scope(&ctx);
+        dse::searchSegments(hw, m, ev, sopt);
+        return ctx.load();
+    };
+    const dse::DseCounts wantA = alone(a), wantB = alone(b);
+    EXPECT_EQ(wantA.segRuns, 2u);
+    EXPECT_EQ(wantB.segRuns, 1u);
+    EXPECT_GT(wantA.segMoves, 0u);
+    EXPECT_GT(wantA.segPlans, 0u);
+
+    Evaluator shared;
+    dse::StatsContext ctxA, ctxB;
+    std::thread ta([&] {
+        dse::StatsContext::Scope scope(&ctxA);
+        dse::searchSegments(hw, a, shared, sopt);
+    });
+    std::thread tb([&] {
+        dse::StatsContext::Scope scope(&ctxB);
+        dse::searchSegments(hw, b, shared, sopt);
+    });
+    ta.join();
+    tb.join();
+    const dse::DseCounts gotA = ctxA.load(), gotB = ctxB.load();
+    dse::DseCounts sum = gotA;
+    sum += gotB;
+    const dse::DseCounts total = shared.counters();
+    for (const dse::DseCounter &row : dse::kDseCounters) {
+        EXPECT_EQ(gotA.*row.count, wantA.*row.count) << row.metric;
+        EXPECT_EQ(gotB.*row.count, wantB.*row.count) << row.metric;
+        EXPECT_EQ(sum.*row.count, total.*row.count) << row.metric;
+    }
+}
+
 /** Segment records survive a v6 save/load round trip bit-for-bit; a
  *  v2-stamped file is rejected wholesale (cold start). */
 TEST(SegmentCache, V4RoundTripAndV2Rejected)
@@ -334,7 +385,7 @@ TEST(SegmentCache, V4RoundTripAndV2Rejected)
     Evaluator ev(&cold);
     SegmentPlan plan = dse::searchSegments(hw, m, ev, sopt);
     ASSERT_GT(cold.segmentCount(), 0u);
-    ASSERT_GT(cold.segInserts(), 0u);
+    ASSERT_GT(cold.counters().segInserts, 0u);
     ASSERT_TRUE(cold.save(path));
     EXPECT_EQ(CostCache::fileFormatVersion(), 6u);
 
@@ -347,11 +398,10 @@ TEST(SegmentCache, V4RoundTripAndV2Rejected)
     // A warm search replays the identical plan from the file —
     // every segment evaluation is a record hit.
     Evaluator warmEv(&warm);
-    SegmentSearchStats stats;
-    SegmentPlan again = dse::searchSegments(hw, m, warmEv, sopt, &stats);
+    SegmentPlan again = dse::searchSegments(hw, m, warmEv, sopt);
     expectSameSegments(plan.segments, again.segments);
-    EXPECT_GT(warm.segHits(), 0u);
-    EXPECT_EQ(stats.cacheMisses, 0u);
+    EXPECT_GT(warm.counters().segHits, 0u);
+    EXPECT_EQ(warm.counters().segMisses, 0u);
 
     // Patch the version word (offset 1) down to 2: a v2-era file —
     // no segment section — must be rejected, never misread.
@@ -473,7 +523,14 @@ TEST(ServeSegment, KnobOnServesSegmentedSchedules)
     // Same request, same engine: bit-identical replies (ids/seq
     // differ by admission, so compare the schedules directly).
     EXPECT_TRUE(sameSchedule(rs[0].schedules[0], rs[1].schedules[0]));
-    EXPECT_GT(loop.engine().segmentStats().movesTried, 0u);
+    // Per-request segment work adds up to the engine's totals
+    // (a coalesced follower ran nothing of its own).
+    std::uint64_t moves = 0;
+    for (const serve::ServeResponse &r : rs)
+        if (!r.coalesced)
+            moves += r.stats.dse.segMoves;
+    EXPECT_GT(rs[0].stats.dse.segMoves, 0u);
+    EXPECT_EQ(moves, loop.engine().counters().segMoves);
 
     obs::MetricsRegistry reg;
     loop.engine().publishMetrics(reg);

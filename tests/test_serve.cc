@@ -19,6 +19,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include "lego.hh"
@@ -181,6 +182,135 @@ TEST(ServeRequestParse, MalformedRequestsAreLoudErrors)
         EXPECT_FALSE(parseRequest(line, &req, &err)) << line;
         EXPECT_FALSE(err.empty()) << line;
     }
+}
+
+/** Fuzz seeds: every line of the checked-in demo trace (comments
+ *  included) and the canonical form of every demo request. */
+std::vector<std::string>
+fuzzSeeds()
+{
+    std::vector<std::string> seeds;
+    std::ifstream in(std::string(LEGO_SOURCE_DIR) +
+                     "/examples/serve_trace.jsonl");
+    for (std::string line; std::getline(in, line);)
+        if (!line.empty())
+            seeds.push_back(line);
+    for (const ServeRequest &req : serve::demoTrace())
+        seeds.push_back(serve::formatRequest(req));
+    return seeds;
+}
+
+/** One seeded mutation of a request line: one to three byte flips,
+ *  inserts, deletes, truncations or duplicated spans. */
+std::string
+mutateLine(std::string s, std::mt19937_64 &rng)
+{
+    static const char kBytes[] = "{}[]\":,\\ -+.eE019kidmnt";
+    const auto below = [&](std::size_t n) {
+        return n ? std::size_t(rng() % n) : 0;
+    };
+    for (std::size_t op = 0, ops = 1 + below(3); op < ops; ++op) {
+        const std::size_t n = s.size();
+        switch (rng() % 5) {
+        case 0: // Flip one bit.
+            if (n)
+                s[below(n)] ^= char(1u << below(8));
+            break;
+        case 1: // Insert a structural or an arbitrary byte.
+            s.insert(s.begin() + long(below(n + 1)),
+                     rng() % 2 ? kBytes[below(sizeof(kBytes) - 1)]
+                               : char(below(256)));
+            break;
+        case 2: // Delete one byte.
+            if (n)
+                s.erase(below(n), 1);
+            break;
+        case 3: // Truncate.
+            s.resize(below(n + 1));
+            break;
+        default: // Duplicate a span somewhere.
+            if (n) {
+                const std::size_t at = below(n);
+                const std::string span =
+                    s.substr(at, 1 + below(std::min<std::size_t>(
+                                         n - at, 16)));
+                s.insert(below(n + 1), span);
+            }
+            break;
+        }
+    }
+    return s;
+}
+
+/** Every mutated line either parses to a request that round-trips
+ *  through formatRequest exactly, or is rejected with a message. */
+TEST(ServeRequestParse, SeededMutationsRoundTripOrFailLoudly)
+{
+    const std::vector<std::string> seeds = fuzzSeeds();
+    ASSERT_GE(seeds.size(), 24u);
+    std::mt19937_64 rng(0x5eed);
+    std::size_t parsed = 0, rejected = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const std::string line =
+            mutateLine(seeds[std::size_t(i) % seeds.size()], rng);
+        ServeRequest req;
+        std::string err;
+        if (!parseRequest(line, &req, &err)) {
+            ASSERT_FALSE(err.empty()) << "silent rejection: " << line;
+            ++rejected;
+            continue;
+        }
+        ++parsed;
+        const std::string canon = serve::formatRequest(req);
+        ServeRequest back;
+        ASSERT_TRUE(parseRequest(canon, &back, &err))
+            << line << " -> " << canon << ": " << err;
+        ASSERT_EQ(serve::formatRequest(back), canon) << line;
+        ASSERT_EQ(back.id, req.id) << line;
+        ASSERT_EQ(back.models, req.models) << line;
+        ASSERT_EQ(back.objective, req.objective) << line;
+        ASSERT_EQ(back.budget, req.budget) << line;
+        ASSERT_EQ(back.frontierK, req.frontierK) << line;
+        ASSERT_EQ(back.segment, req.segment) << line;
+        ASSERT_EQ(back.deadlineMs, req.deadlineMs) << line;
+    }
+    // Both outcomes are exercised, not just the error path.
+    EXPECT_GT(parsed, 100u);
+    EXPECT_GT(rejected, 100u);
+}
+
+/** Through the serve loop, every mutated line gets exactly one
+ *  response, in sequence: ok, or an error that says why. */
+TEST(ServeLoop, MutatedLinesEachGetOneResponse)
+{
+    const std::vector<std::string> seeds = fuzzSeeds();
+    std::mt19937_64 rng(0xf022);
+    ServeOptions opt;
+    opt.dse.threads = 1;
+    ServeLoop loop(opt);
+    const std::size_t lines = 400;
+    for (std::size_t i = 0; i < lines; ++i)
+        ASSERT_EQ(loop.submitLine(
+                      mutateLine(seeds[i % seeds.size()], rng)),
+                  i);
+    loop.drain();
+    const std::vector<ServeResponse> rs = loop.responses();
+    ASSERT_EQ(rs.size(), lines);
+    std::size_t ok = 0;
+    for (std::size_t i = 0; i < rs.size(); ++i) {
+        EXPECT_EQ(rs[i].seq, i);
+        EXPECT_FALSE(rs[i].shed) << i;
+        if (rs[i].ok) {
+            EXPECT_FALSE(rs[i].schedules.empty()) << i;
+            ++ok;
+        } else {
+            EXPECT_FALSE(rs[i].error.empty()) << i;
+        }
+    }
+    // Some mutants still name real models and get served.
+    EXPECT_GT(ok, 0u);
+    EXPECT_LT(ok, lines);
+    EXPECT_TRUE(loop.shutdown());
 }
 
 TEST(ServeRequestParse, TraceSkipsCommentsAndReportsLineNumbers)

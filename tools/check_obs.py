@@ -11,9 +11,10 @@ Usage:
                [--bench FILE --max-overhead-pct PCT
                 [--require-segment-dominance]]
 
-Metrics snapshots carrying DSE engine counters must include the
-dse.segment.* segmentation-search family and the
-dse.cache.quarantined corruption counter; snapshots carrying serve.*
+Metrics snapshots carrying DSE engine counters must include every
+row of the DSE counter table (LEGO_DSE_COUNTERS in
+src/dse/stats_scope.hh, read at run time) plus the cache gauges;
+snapshots carrying serve.*
 counters must include the robustness family (serve.shed,
 serve.degraded, serve.stalled, serve.internal_errors counters and
 the serve.queue_depth gauge) and the concurrency family
@@ -42,6 +43,8 @@ message. Stdlib only — runs on a bare CI python3.
 
 import argparse
 import json
+import os
+import re
 import sys
 
 FAILURES = []
@@ -50,6 +53,21 @@ FAILURES = []
 def fail(msg):
     FAILURES.append(msg)
     print(f"FAIL: {msg}")
+
+
+COUNTER_TABLE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                             "..", "src", "dse", "stats_scope.hh")
+
+
+def dse_counter_names():
+    """Metric names of the DSE counter table, one per X(field,
+    "metric") row of LEGO_DSE_COUNTERS."""
+    with open(COUNTER_TABLE) as f:
+        names = re.findall(r'X\(\s*\w+\s*,\s*"(dse\.[\w.]+)"\s*\)',
+                           f.read())
+    if not names:
+        sys.exit(f"check_obs: no counter rows found in {COUNTER_TABLE}")
+    return names
 
 
 def check_trace(path):
@@ -103,19 +121,11 @@ def check_stats(path, expect_failpoints=None,
                 return fail(f"{path}: histogram {name}: missing "
                             f"{key!r}")
     counters = serve["counters"]
-    # Any snapshot carrying DSE engine counters must also carry the
-    # segmentation-search family and the cache-corruption counter
-    # (zero-valued when nothing fired — the counters exist either
-    # way).
+    # Any snapshot carrying DSE engine counters must carry every row
+    # of the counter table (zero-valued when nothing fired — the
+    # counters exist either way).
     if any(name.startswith("dse.") for name in counters):
-        for name in ("dse.segment.runs", "dse.segment.moves",
-                     "dse.segment.plans", "dse.segment.infeasible",
-                     "dse.segment.accepted", "dse.cache.seg_hits",
-                     "dse.cache.seg_misses",
-                     "dse.cache.quarantined", "dse.cache.evictions",
-                     "dse.cache.shared_front_hits",
-                     "dse.cache.shared_seg_hits",
-                     "dse.cache.remaps"):
+        for name in dse_counter_names():
             if name not in counters:
                 return fail(f"{path}: counters missing {name!r}")
         for name in ("dse.cache.resident_bytes",
