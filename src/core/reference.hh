@@ -35,7 +35,13 @@ TensorSet makeInputs(const Workload &w, unsigned seed);
 /** Apply the loop body once at computation iteration point `iter`. */
 void applyBody(const Workload &w, TensorSet &ts, const IntVec &iter);
 
-/** Execute the full loop nest in canonical order. */
+/**
+ * Execute the full loop nest in canonical order. Each tensor access
+ * is folded into one flat affine offset, walked incrementally. Every
+ * index is range-checked once, at the corners of the iteration box
+ * where an affine map takes its extrema; an access outside its
+ * tensor panics before anything is written.
+ */
 void runReference(const Workload &w, TensorSet &ts);
 
 /**

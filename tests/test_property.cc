@@ -8,7 +8,7 @@
  *  - every FU always has exactly one valid producer per operand;
  *  - causality: every planned connection has non-negative delay;
  *  - the fully-optimized generated design stays bit-exact for conv
- *    and MTTKRP shape sweeps.
+ *    and MTTKRP shape sweeps, and for one 32x32 GEMM.
  */
 
 #include <gtest/gtest.h>
@@ -151,6 +151,20 @@ TEST(Property, DelayMatchingIdempotent)
     DelayMatchStats s2 = runDelayMatching(gen.dag);
     EXPECT_EQ(s1.insertedRegBits, s2.insertedRegBits);
     EXPECT_TRUE(delaysMatched(gen.dag));
+}
+
+TEST(Property, Gemm32x32BitExact)
+{
+    Workload w = makeGemm(64, 64, 32);
+    DataflowSpec spec =
+        makeSimpleSpec(w, "ij", {{"i", 32}, {"j", 32}}, false);
+    Adg adg = generateArchitecture({{&w, buildDataflow(w, spec)}});
+    CodegenResult gen = codegen(adg);
+    runBackend(gen);
+    EXPECT_TRUE(delaysMatched(gen.dag));
+    InterpStats st;
+    EXPECT_TRUE(verifyAgainstReference(gen, adg, 0, 3232, &st));
+    EXPECT_EQ(st.writes, w.iterationCount());
 }
 
 TEST(Property, VerilogStableAcrossRuns)

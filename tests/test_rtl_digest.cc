@@ -17,6 +17,12 @@
  * actual row in the table's format, ready to paste into kGolden.
  * Regenerating is a deliberate RTL change and must be called out as
  * one.
+ *
+ * The same designs also pin the bit-exact check itself: for every
+ * (design, config), kInterpGolden holds the interpreter's InterpStats
+ * and an FNV-1a digest of the output tensor computed from the inputs
+ * of kInterpSeed, and the output must equal the reference loop nest.
+ * A rewrite of the interpreter or the reference must keep every row.
  */
 
 #include <gtest/gtest.h>
@@ -57,12 +63,62 @@ const Golden kGolden[] = {
 };
 // clang-format on
 
+struct InterpGolden
+{
+    const char *name;
+    int cfg;
+    Int cycles, reads, writes, pipelineDepth;
+    std::uint64_t outDigest;
+};
+
+constexpr unsigned kInterpSeed = 7;
+
+// clang-format off
+const InterpGolden kInterpGolden[] = {
+    {"Attention", 0, 74, 1024, 4096, 6, 0xdaa1864abcf19107ull},
+    {"Attention", 1, 74, 1024, 4096, 6, 0x9e7cd12c24d7f73dull},
+    {"Conv2d-ICOC", 0, 584, 41472, 4608, 4, 0xe1729af1db736b31ull},
+    {"Conv2d-MNICOC", 0, 591, 9216, 36864, 11, 0xe1729af1db736b31ull},
+    {"Conv2d-MNICOC", 1, 584, 41472, 4608, 4, 0xe1729af1db736b31ull},
+    {"Conv2d-OHOW", 0, 611, 37440, 36864, 31, 0xe1729af1db736b31ull},
+    {"GEMM-IJ", 0, 522, 8192, 32768, 6, 0x1fb40883f0f76598ull},
+    {"GEMM-IK", 0, 520, 36864, 4096, 4, 0x1fb40883f0f76598ull},
+    {"GEMM-KJ", 0, 546, 36864, 4096, 16, 0x1fb40883f0f76598ull},
+    {"GEMM-MJ", 0, 521, 8192, 32768, 5, 0x1fb40883f0f76598ull},
+    {"GEMM-MJ", 1, 521, 36864, 4096, 5, 0x1fb40883f0f76598ull},
+    {"MTTKRP-IJ", 0, 1035, 24576, 65536, 7, 0x8cf322e60d90b92bull},
+    {"MTTKRP-KJ", 0, 1033, 81920, 8192, 5, 0x8cf322e60d90b92bull},
+    {"MTTKRP-MJ", 0, 1034, 24576, 65536, 6, 0x8cf322e60d90b92bull},
+    {"MTTKRP-MJ", 1, 1034, 81920, 8192, 6, 0x8cf322e60d90b92bull},
+    {"GEMM-3cfg-p2", 0, 135, 512, 512, 3, 0x2031ab5e37fd1734ull},
+    {"GEMM-3cfg-p2", 1, 135, 768, 256, 3, 0x2031ab5e37fd1734ull},
+    {"GEMM-3cfg-p2", 2, 138, 768, 256, 4, 0x2031ab5e37fd1734ull},
+    {"GEMM-3cfg-p4", 0, 43, 256, 512, 7, 0x2031ab5e37fd1734ull},
+    {"GEMM-3cfg-p4", 1, 43, 640, 128, 7, 0x2031ab5e37fd1734ull},
+    {"GEMM-3cfg-p4", 2, 53, 640, 128, 11, 0x2031ab5e37fd1734ull},
+    {"GEMM-IJ-16x16", 0, 141, 4096, 32768, 9, 0x1fb40883f0f76598ull},
+};
+// clang-format on
+
 std::uint64_t
 fnv1a(const std::string &s)
 {
     std::uint64_t h = kFnv1aOffset;
     for (char c : s)
         h = fnv1aByte(h, std::uint8_t(c));
+    return h;
+}
+
+/** FNV-1a over the tensor's values, 8 little-endian bytes each. */
+std::uint64_t
+fnv1a(const TensorData &t)
+{
+    std::uint64_t h = kFnv1aOffset;
+    for (size_t i = 0; i < t.size(); i++) {
+        const std::uint64_t v = std::uint64_t(t.flat(i));
+        for (int b = 0; b < 8; b++)
+            h = fnv1aByte(h, std::uint8_t(v >> (8 * b)));
+    }
     return h;
 }
 
@@ -94,25 +150,85 @@ digestDesigns()
     return out;
 }
 
+/** One digest design after the full back end. */
+struct BuiltDesign
+{
+    NamedDesign design;
+    Adg adg;
+    CodegenResult gen;
+    BackendReport rep;
+};
+
+/** The fourteen designs, built once and shared by both tests. */
+const std::vector<BuiltDesign> &
+builtDesigns()
+{
+    static const std::vector<BuiltDesign> built = [] {
+        std::vector<BuiltDesign> out;
+        for (NamedDesign &d : digestDesigns()) {
+            BuiltDesign b;
+            b.design = std::move(d);
+            b.rep = buildDesign(b.design, &b.gen, &b.adg);
+            out.push_back(std::move(b));
+        }
+        return out;
+    }();
+    return built;
+}
+
 TEST(RtlDigest, MatchesGolden)
 {
-    std::vector<NamedDesign> designs = digestDesigns();
+    const std::vector<BuiltDesign> &designs = builtDesigns();
     ASSERT_EQ(designs.size(), std::size(kGolden));
     for (size_t i = 0; i < designs.size(); i++) {
-        CodegenResult gen;
-        BackendReport rep = buildDesign(designs[i], &gen);
-        std::uint64_t digest = fnv1a(emitVerilog(gen, "t"));
+        const BuiltDesign &b = designs[i];
+        std::uint64_t digest = fnv1a(emitVerilog(b.gen, "t"));
         char row[128];
         std::snprintf(row, sizeof(row), "{\"%s\", %" PRId64
                       ", 0x%016" PRIx64 "ull},",
-                      designs[i].name.c_str(),
-                      std::int64_t(rep.matchStats.insertedRegBits),
+                      b.design.name.c_str(),
+                      std::int64_t(b.rep.matchStats.insertedRegBits),
                       digest);
-        EXPECT_EQ(designs[i].name, kGolden[i].name) << row;
-        EXPECT_EQ(rep.matchStats.insertedRegBits,
+        EXPECT_EQ(b.design.name, kGolden[i].name) << row;
+        EXPECT_EQ(b.rep.matchStats.insertedRegBits,
                   kGolden[i].insertedRegBits) << row;
         EXPECT_EQ(digest, kGolden[i].digest) << row;
     }
+}
+
+TEST(RtlDigest, InterpreterMatchesGolden)
+{
+    size_t row_idx = 0;
+    for (const BuiltDesign &b : builtDesigns()) {
+        for (int cfg = 0; cfg < int(b.design.configs.size()); cfg++) {
+            const Workload &w = *b.adg.configs[size_t(cfg)].workload;
+            TensorSet ts = makeInputs(w, kInterpSeed);
+            InterpStats st = runOnHardware(b.gen, b.adg, cfg, ts);
+            std::uint64_t out = fnv1a(ts[w.outputTensor()]);
+            char row[192];
+            std::snprintf(row, sizeof(row),
+                          "{\"%s\", %d, %" PRId64 ", %" PRId64
+                          ", %" PRId64 ", %" PRId64 ", 0x%016" PRIx64
+                          "ull},",
+                          b.design.name.c_str(), cfg,
+                          std::int64_t(st.cycles), std::int64_t(st.reads),
+                          std::int64_t(st.writes),
+                          std::int64_t(st.pipelineDepth), out);
+            EXPECT_TRUE(verifyAgainstReference(b.gen, b.adg, cfg,
+                                               kInterpSeed))
+                << row;
+            ASSERT_LT(row_idx, std::size(kInterpGolden)) << row;
+            const InterpGolden &g = kInterpGolden[row_idx++];
+            EXPECT_EQ(b.design.name, g.name) << row;
+            EXPECT_EQ(cfg, g.cfg) << row;
+            EXPECT_EQ(st.cycles, g.cycles) << row;
+            EXPECT_EQ(st.reads, g.reads) << row;
+            EXPECT_EQ(st.writes, g.writes) << row;
+            EXPECT_EQ(st.pipelineDepth, g.pipelineDepth) << row;
+            EXPECT_EQ(out, g.outDigest) << row;
+        }
+    }
+    EXPECT_EQ(row_idx, std::size(kInterpGolden));
 }
 
 } // namespace
