@@ -7,7 +7,8 @@
  * input pins of every primitive receive data from the same logical
  * cycle. The objective min sum EL * width is solved exactly via the
  * difference-constraint LP, whose dual is a min-cost flow solved by
- * the primal-dual (Dijkstra + blocking flow) solver in lp/netflow.hh.
+ * the primal-dual solver in lp/netflow.hh (early-exit Dijkstra
+ * phases, each saturating the zero-reduced-cost subgraph by ISAP).
  * Register placement follows that solver's optimal dual: the
  * potentials successive shortest paths would produce, not an
  * arbitrary optimum, so the RTL does not depend on flow tie-breaks.

@@ -222,7 +222,7 @@ forDigits(Int local, const IntVec &radix, F f)
         local /= radix[i];
     }
     if (local != 0)
-        panic("mixedRadixDigits: scalar out of range");
+        panic("runOnHardware: mixed-radix scalar out of range");
 }
 
 [[noreturn]] void

@@ -18,19 +18,6 @@ mixedRadixScalar(const IntVec &dt, const IntVec &radix)
     return s;
 }
 
-IntVec
-mixedRadixDigits(Int scalar, const IntVec &radix)
-{
-    IntVec dt(radix.size(), 0);
-    for (int i = int(radix.size()) - 1; i >= 0; i--) {
-        dt[i] = scalar % radix[i];
-        scalar /= radix[i];
-    }
-    if (scalar != 0)
-        panic("mixedRadixDigits: scalar out of range");
-    return dt;
-}
-
 namespace
 {
 

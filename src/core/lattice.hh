@@ -48,9 +48,6 @@ struct LatticeProblem
 /** Mixed-radix scalar value of dt given the loop extents (Eq. 3). */
 Int mixedRadixScalar(const IntVec &dt, const IntVec &radix);
 
-/** Inverse of mixedRadixScalar for non-negative scalars. */
-IntVec mixedRadixDigits(Int scalar, const IntVec &radix);
-
 /**
  * Solve the bounded lattice minimization.
  *

@@ -7,9 +7,11 @@
  *   subject to D_{v_k} - D_{u_k} >= l_k            for all k
  *
  * with w_k >= 0. The LP dual is an uncapacitated transshipment problem
- * solved exactly by MinCostFlow; optimal D values are recovered from
- * the node potentials (the constraint matrix is totally unimodular, so
- * the integral optimum is the true LP optimum).
+ * solved exactly by MinCostFlow (primal-dual phases whose potentials
+ * are the successive-shortest-paths dual, see netflow.hh); optimal D
+ * values are recovered from the node potentials (the constraint
+ * matrix is totally unimodular, so the integral optimum is the true
+ * LP optimum).
  *
  * Broadcast-aware re-pricing (Section V-B stage 1) is expressible in
  * the same form by adding a virtual max-node per broadcast source, so

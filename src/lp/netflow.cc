@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <deque>
 #include <limits>
-#include <queue>
 
 namespace lego
 {
@@ -99,16 +98,38 @@ MinCostFlow::bellmanFordInit()
 bool
 MinCostFlow::dijkstra(int src, int dst)
 {
-    std::vector<Int> dist(size_t(n_), kInf);
+    std::vector<Int> &dist = dist_;
+    dist.assign(size_t(n_), kInf);
+    // Nodes at the current distance d wait on a stack and only the
+    // rest go through the heap: zero-reduced-cost arcs, the bulk of
+    // LEGO's, keep d.
     using Item = std::pair<Int, int>;
-    std::priority_queue<Item, std::vector<Item>, std::greater<Item>> pq;
+    std::vector<Item> &heap = heap_;
+    std::vector<int> &level = queue_;
+    heap.clear();
+    level.assign(1, src);
     dist[size_t(src)] = 0;
-    pq.push({0, src});
-    while (!pq.empty()) {
-        auto [d, u] = pq.top();
-        pq.pop();
-        if (d > dist[size_t(u)])
-            continue;
+    Int d = 0;
+    for (;;) {
+        int u;
+        if (!level.empty()) {
+            u = level.back();
+            level.pop_back();
+        } else if (!heap.empty()) {
+            std::pop_heap(heap.begin(), heap.end(), std::greater<Item>());
+            auto [k, v] = heap.back();
+            heap.pop_back();
+            if (k > dist[size_t(v)])
+                continue;
+            d = k;
+            u = v;
+        } else {
+            break;
+        }
+        // Every node still unsettled is at least dist[dst] away, so
+        // the capped update below gives it exactly +dist[dst].
+        if (d >= dist[size_t(dst)])
+            break;
         for (const Edge &e : graph_[size_t(u)]) {
             if (e.cap <= 0)
                 continue;
@@ -118,7 +139,13 @@ MinCostFlow::dijkstra(int src, int dst)
             Int nd = d + rc;
             if (nd < dist[size_t(e.to)]) {
                 dist[size_t(e.to)] = nd;
-                pq.push({nd, e.to});
+                if (rc == 0) {
+                    level.push_back(e.to);
+                } else {
+                    heap.push_back({nd, e.to});
+                    std::push_heap(heap.begin(), heap.end(),
+                                   std::greater<Item>());
+                }
             }
         }
     }
@@ -135,74 +162,89 @@ MinCostFlow::dijkstra(int src, int dst)
 Int
 MinCostFlow::admissibleMaxFlow(int src, int dst)
 {
-    // Dinic restricted to admissible arcs (residual, zero reduced
-    // cost): BFS levels, then a blocking flow along level-increasing
-    // paths with per-node arc iterators; repeat until dst is cut off.
-    std::vector<int> level, iter, queue, path;
+    // ISAP restricted to admissible arcs (residual, zero reduced
+    // cost). label[v] is a lower bound on v's admissible distance to
+    // dst, exact after the reverse BFS; the path advances only along
+    // arcs with label[u] == label[v] + 1 and relabels at dead ends.
     auto admissible = [&](int u, const Edge &e) {
         return e.cap > 0 && e.cost + pi_[size_t(u)] == pi_[size_t(e.to)];
     };
-    auto nextLevel = [&](int u, const Edge &e) {
-        return level[size_t(e.to)] == level[size_t(u)] + 1 &&
-               admissible(u, e);
-    };
-    // The arc a node on the path leaves by.
-    auto arcOf = [&](int u) -> Edge & {
-        return graph_[size_t(u)][size_t(iter[size_t(u)])];
-    };
-    Int pushed = 0;
-    for (;;) {
-        level.assign(size_t(n_), -1);
-        level[size_t(src)] = 0;
-        queue.assign(1, src);
-        for (size_t h = 0; h < queue.size(); h++) {
-            int u = queue[h];
-            for (const Edge &e : graph_[size_t(u)]) {
-                if (level[size_t(e.to)] < 0 && admissible(u, e)) {
-                    level[size_t(e.to)] = level[size_t(u)] + 1;
-                    queue.push_back(e.to);
-                }
-            }
-        }
-        if (level[size_t(dst)] < 0)
-            return pushed;
-
-        iter.assign(size_t(n_), 0);
-        path.assign(1, src);
-        while (!path.empty()) {
-            int u = path.back();
-            if (u == dst) {
-                Int push = kInf;
-                for (size_t k = 0; k + 1 < path.size(); k++)
-                    push = std::min(push, arcOf(path[k]).cap);
-                size_t cut = path.size();
-                for (size_t k = 0; k + 1 < path.size(); k++) {
-                    Edge &e = arcOf(path[k]);
-                    e.cap -= push;
-                    graph_[size_t(e.to)][size_t(e.rev)].cap += push;
-                    totalCost_ += push * e.cost;
-                    if (e.cap == 0)
-                        cut = std::min(cut, k);
-                }
-                pushed += push;
-                // Retreat to the tail of the first saturated arc.
-                path.resize(cut + 1);
-                continue;
-            }
-            const std::vector<Edge> &adj = graph_[size_t(u)];
-            int &i = iter[size_t(u)];
-            while (size_t(i) < adj.size() && !nextLevel(u, adj[size_t(i)]))
-                i++;
-            if (size_t(i) < adj.size()) {
-                path.push_back(adj[size_t(i)].to);
-            } else {
-                // Dead end: drop u and the arc that led to it.
-                path.pop_back();
-                if (!path.empty())
-                    iter[size_t(path.back())]++;
+    std::vector<int> &label = label_, &count = count_, &iter = iter_;
+    std::vector<int> &queue = queue_, &path = path_;
+    label.assign(size_t(n_), n_);
+    label[size_t(dst)] = 0;
+    queue.assign(1, dst);
+    for (size_t h = 0; h < queue.size(); h++) {
+        int v = queue[h];
+        for (const Edge &e : graph_[size_t(v)]) {
+            // The arc e.to -> v is the twin of e.
+            if (label[size_t(e.to)] == n_ &&
+                admissible(e.to, graph_[size_t(e.to)][size_t(e.rev)])) {
+                label[size_t(e.to)] = label[size_t(v)] + 1;
+                queue.push_back(e.to);
             }
         }
     }
+    auto descends = [&](int u, const Edge &e) {
+        return label[size_t(e.to)] + 1 == label[size_t(u)] && admissible(u, e);
+    };
+    count.assign(size_t(n_) + 1, 0);
+    for (int v = 0; v < n_; v++)
+        count[size_t(label[size_t(v)])]++;
+    iter.assign(size_t(n_), 0);
+    path.clear(); // Nodes before u; each leaves by graph_[.][iter[.]].
+    auto arcOf = [&](int v) -> Edge & {
+        return graph_[size_t(v)][size_t(iter[size_t(v)])];
+    };
+
+    Int pushed = 0;
+    int u = src;
+    while (label[size_t(src)] < n_) {
+        if (u == dst) {
+            Int push = kInf;
+            for (int v : path)
+                push = std::min(push, arcOf(v).cap);
+            size_t cut = path.size();
+            for (size_t k = 0; k < path.size(); k++) {
+                Edge &e = arcOf(path[k]);
+                e.cap -= push;
+                graph_[size_t(e.to)][size_t(e.rev)].cap += push;
+                totalCost_ += push * e.cost;
+                if (e.cap == 0)
+                    cut = std::min(cut, k);
+            }
+            pushed += push;
+            // Retreat to the tail of the first saturated arc.
+            u = path[cut];
+            path.resize(cut);
+            continue;
+        }
+        const std::vector<Edge> &adj = graph_[size_t(u)];
+        int &i = iter[size_t(u)];
+        while (size_t(i) < adj.size() && !descends(u, adj[size_t(i)]))
+            i++;
+        if (size_t(i) < adj.size()) {
+            path.push_back(u);
+            u = adj[size_t(i)].to;
+            continue;
+        }
+        // Dead end. If u held the last node at its label, no node
+        // above it (src included) can reach dst any more: stop.
+        if (--count[size_t(label[size_t(u)])] == 0)
+            break;
+        int relabel = n_;
+        for (const Edge &e : adj)
+            if (admissible(u, e))
+                relabel = std::min(relabel, label[size_t(e.to)] + 1);
+        label[size_t(u)] = relabel;
+        count[size_t(relabel)]++;
+        i = 0;
+        if (u != src) {
+            u = path.back();
+            path.pop_back();
+        }
+    }
+    return pushed;
 }
 
 bool
@@ -234,10 +276,18 @@ MinCostFlow::solve()
     Int shipped = 0;
     while (shipped < total) {
         if (!dijkstra(src, dst))
-            return false;
+            break;
         shipped += admissibleMaxFlow(src, dst);
     }
-    return true;
+
+    // Dijkstra checks only the arcs it scans before its early exit;
+    // every residual arc must still price non-negatively.
+    for (int u = 0; u < n_; u++)
+        for (const Edge &e : graph_[size_t(u)])
+            if (e.cap > 0 &&
+                e.cost + pi_[size_t(u)] - pi_[size_t(e.to)] < 0)
+                panic("MinCostFlow: negative reduced cost");
+    return shipped == total;
 }
 
 } // namespace lego

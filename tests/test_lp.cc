@@ -3,11 +3,14 @@
  * Unit tests for the LP suite: dense simplex, min-cost flow, the
  * difference-constraint LP (delay matching core), and the 0-1 ILP.
  * The difference-constraint solver is cross-checked against the dense
- * simplex on randomized instances (TEST_P property sweep).
+ * simplex on randomized instances (TEST_P property sweep), and
+ * MinCostFlow's dual against a textbook successive-shortest-paths
+ * reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
 
 #include "lp/diffcon.hh"
@@ -198,6 +201,44 @@ TEST_P(DiffConRandom, MatchesDenseSimplex)
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffConRandom,
                          ::testing::Range(0u, 24u));
 
+/** A min-cost-flow instance, fed identically to both solvers. */
+struct FlowInstance
+{
+    struct Arc { int u, v; Int cap, cost; };
+    int n = 0;
+    std::vector<Arc> arcs;
+    std::vector<Int> supply;
+};
+
+/**
+ * The dual transshipment DiffConstraintLp::solve builds for
+ * D_v - D_u >= lower at weight w: arc u -> v of cost -lower and
+ * capacity 1 + sum(w), supply -(w in - w out) per node.
+ */
+struct DiffConShape
+{
+    struct Con { int u, v; Int lower, weight; };
+    int n = 0;
+    std::vector<Con> cons;
+
+    FlowInstance
+    flow() const
+    {
+        FlowInstance fi;
+        fi.n = n;
+        fi.supply.assign(size_t(n), 0);
+        Int cap = 1;
+        for (const Con &c : cons) {
+            fi.supply[size_t(c.v)] -= c.weight;
+            fi.supply[size_t(c.u)] += c.weight;
+            cap += c.weight;
+        }
+        for (const Con &c : cons)
+            fi.arcs.push_back({c.u, c.v, cap, -c.lower});
+        return fi;
+    }
+};
+
 /**
  * Rewire-shaped instances, built the way rewireBroadcasts stage 1
  * builds its LP: every node with two or more out-edges is a broadcast
@@ -206,14 +247,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DiffConRandom,
  * the star's width is paid once on M - D_src. Zero weights make the
  * flow phases degenerate, which the small sweep above never hits.
  */
-class DiffConRewireRandom : public ::testing::TestWithParam<unsigned>
+DiffConShape
+rewireShape(std::mt19937 &rng, int n, int trials)
 {
-};
-
-TEST_P(DiffConRewireRandom, MatchesDenseSimplex)
-{
-    std::mt19937 rng(GetParam());
-    const int n = 24;
     std::uniform_int_distribution<int> node(0, n - 1);
     std::uniform_int_distribution<Int> lat(0, 2);
     std::uniform_int_distribution<Int> wid(1, 16);
@@ -224,7 +260,7 @@ TEST_P(DiffConRewireRandom, MatchesDenseSimplex)
     struct E { int u, v; Int width; };
     std::vector<E> edges;
     std::vector<int> outDeg(size_t(n), 0);
-    for (int trial = 0; trial < 36; trial++) {
+    for (int trial = 0; trial < trials; trial++) {
         int u = node(rng), v = node(rng);
         if (u == v)
             continue;
@@ -234,46 +270,58 @@ TEST_P(DiffConRewireRandom, MatchesDenseSimplex)
         outDeg[size_t(u)]++;
     }
 
-    struct C { int u, v; Int l, w; };
-    std::vector<C> cons;
+    DiffConShape s;
+    s.n = n;
     for (const E &e : edges)
-        cons.push_back({e.u, e.v, latency[size_t(e.v)],
-                        outDeg[size_t(e.u)] >= 2 ? 0 : e.width});
-    int vars = n;
-    for (int s = 0; s < n; s++) {
-        if (outDeg[size_t(s)] < 2)
+        s.cons.push_back({e.u, e.v, latency[size_t(e.v)],
+                          outDeg[size_t(e.u)] >= 2 ? 0 : e.width});
+    for (int src = 0; src < n; src++) {
+        if (outDeg[size_t(src)] < 2)
             continue;
-        int m = vars++;
+        int m = s.n++;
         Int width = 0;
         for (const E &e : edges) {
-            if (e.u != s)
+            if (e.u != src)
                 continue;
-            cons.push_back({e.v, m, -latency[size_t(e.v)], 0});
+            s.cons.push_back({e.v, m, -latency[size_t(e.v)], 0});
             width = std::max(width, e.width);
         }
-        cons.push_back({s, m, 0, width});
+        s.cons.push_back({src, m, 0, width});
     }
+    return s;
+}
+
+class DiffConRewireRandom : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(DiffConRewireRandom, MatchesDenseSimplex)
+{
+    std::mt19937 rng(GetParam());
+    const int n = 24;
+    const DiffConShape shape = rewireShape(rng, n, 36);
+    const int vars = shape.n;
     ASSERT_GE(vars, 30) << "seed " << GetParam();
 
     DiffConstraintLp dlp(n);
     while (dlp.numVars() < vars)
         dlp.addVar();
-    for (const C &c : cons)
-        dlp.addConstraint(c.u, c.v, c.l, c.w);
+    for (const DiffConShape::Con &c : shape.cons)
+        dlp.addConstraint(c.u, c.v, c.lower, c.weight);
     ASSERT_TRUE(dlp.solve());
-    for (const C &c : cons)
-        EXPECT_GE(dlp.value(c.v) - dlp.value(c.u), c.l)
+    for (const DiffConShape::Con &c : shape.cons)
+        EXPECT_GE(dlp.value(c.v) - dlp.value(c.u), c.lower)
             << "seed " << GetParam();
 
     LinearProgram lp(vars);
     std::vector<double> obj(size_t(vars), 0.0);
     double constant = 0.0;
-    for (const C &c : cons) {
-        obj[size_t(c.v)] += double(c.w);
-        obj[size_t(c.u)] -= double(c.w);
-        constant += double(c.w) * double(c.l);
+    for (const DiffConShape::Con &c : shape.cons) {
+        obj[size_t(c.v)] += double(c.weight);
+        obj[size_t(c.u)] -= double(c.weight);
+        constant += double(c.weight) * double(c.lower);
         lp.addRowSparse({{c.v, 1.0}, {c.u, -1.0}}, RowSense::GE,
-                        double(c.l));
+                        double(c.lower));
     }
     for (int j = 0; j < vars; j++)
         lp.setObjective(j, obj[size_t(j)]);
@@ -284,6 +332,260 @@ TEST_P(DiffConRewireRandom, MatchesDenseSimplex)
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DiffConRewireRandom,
                          ::testing::Range(0u, 24u));
+
+/**
+ * Textbook successive shortest paths, independent of MinCostFlow: the
+ * same virtual-source Bellman-Ford start, then one full Dijkstra per
+ * augmenting path with the same capped update
+ * pi += min(dist, dist[sink]). MinCostFlow saturates each admissible
+ * subgraph with its own maximum flow instead, and must still return
+ * exactly this dual.
+ */
+class SspReference
+{
+  public:
+    explicit SspReference(int num_nodes)
+        : n_(num_nodes + 2), adj_(size_t(n_)), supply_(size_t(n_), 0),
+          pi_(size_t(n_), 0)
+    {
+    }
+
+    void
+    addArc(int u, int v, Int cap, Int cost)
+    {
+        adj_[size_t(u)].push_back({v, cap, cost, adj_[size_t(v)].size()});
+        adj_[size_t(v)].push_back(
+            {u, 0, -cost, adj_[size_t(u)].size() - 1});
+    }
+
+    void setSupply(int v, Int s) { supply_[size_t(v)] = s; }
+
+    bool
+    solve()
+    {
+        const int src = n_ - 2, dst = n_ - 1;
+        Int total = 0;
+        for (int v = 0; v < src; v++) {
+            if (supply_[size_t(v)] > 0) {
+                addArc(src, v, supply_[size_t(v)], 0);
+                total += supply_[size_t(v)];
+            } else if (supply_[size_t(v)] < 0) {
+                addArc(v, dst, -supply_[size_t(v)], 0);
+            }
+        }
+        // Bellman-Ford from a virtual source joined to every node at 0.
+        for (int round = 0; round < n_; round++)
+            for (int u = 0; u < n_; u++)
+                for (const Arc &a : adj_[size_t(u)])
+                    if (a.cap > 0)
+                        pi_[size_t(a.to)] = std::min(
+                            pi_[size_t(a.to)], pi_[size_t(u)] + a.cost);
+        for (Int shipped = 0; shipped < total;) {
+            if (!dijkstra(src, dst))
+                return false;
+            Int push = total - shipped;
+            for (int v = dst; v != src; v = parent_[size_t(v)])
+                push = std::min(push, arcInto(v).cap);
+            for (int v = dst; v != src; v = parent_[size_t(v)]) {
+                Arc &a = arcInto(v);
+                a.cap -= push;
+                adj_[size_t(v)][a.rev].cap += push;
+                cost_ += push * a.cost;
+            }
+            shipped += push;
+        }
+        return true;
+    }
+
+    Int potential(int v) const { return pi_[size_t(v)]; }
+    Int totalCost() const { return cost_; }
+
+  private:
+    static constexpr Int kInf = std::numeric_limits<Int>::max() / 4;
+
+    struct Arc
+    {
+        int to;
+        Int cap;
+        Int cost;
+        size_t rev;
+    };
+
+    /** O(n^2) Dijkstra on reduced costs; fills the shortest-path tree. */
+    bool
+    dijkstra(int src, int dst)
+    {
+        std::vector<Int> dist(size_t(n_), kInf);
+        std::vector<char> done(size_t(n_), 0);
+        parent_.assign(size_t(n_), -1);
+        parentArc_.assign(size_t(n_), 0);
+        dist[size_t(src)] = 0;
+        for (;;) {
+            int u = -1;
+            for (int v = 0; v < n_; v++)
+                if (!done[size_t(v)] && dist[size_t(v)] < kInf &&
+                    (u < 0 || dist[size_t(v)] < dist[size_t(u)]))
+                    u = v;
+            if (u < 0)
+                break;
+            done[size_t(u)] = 1;
+            for (size_t k = 0; k < adj_[size_t(u)].size(); k++) {
+                const Arc &a = adj_[size_t(u)][k];
+                Int nd = dist[size_t(u)] + a.cost + pi_[size_t(u)] -
+                         pi_[size_t(a.to)];
+                if (a.cap > 0 && nd < dist[size_t(a.to)]) {
+                    dist[size_t(a.to)] = nd;
+                    parent_[size_t(a.to)] = u;
+                    parentArc_[size_t(a.to)] = k;
+                }
+            }
+        }
+        if (dist[size_t(dst)] >= kInf)
+            return false;
+        for (int v = 0; v < n_; v++)
+            pi_[size_t(v)] += std::min(dist[size_t(v)], dist[size_t(dst)]);
+        return true;
+    }
+
+    Arc &
+    arcInto(int v)
+    {
+        return adj_[size_t(parent_[size_t(v)])][parentArc_[size_t(v)]];
+    }
+
+    int n_;
+    std::vector<std::vector<Arc>> adj_;
+    std::vector<Int> supply_, pi_;
+    std::vector<int> parent_;
+    std::vector<size_t> parentArc_;
+    Int cost_ = 0;
+};
+
+/** A delay-matching-like DAG on nodes [base, base + n). */
+void
+addDagCons(DiffConShape &s, std::mt19937 &rng, int base, int n, int edges,
+           Int max_weight)
+{
+    std::uniform_int_distribution<int> node(0, n - 1);
+    std::uniform_int_distribution<Int> lat(0, 3), wgt(0, max_weight);
+    for (int k = 0; k < edges; k++) {
+        int u = node(rng), v = node(rng);
+        if (u == v)
+            continue;
+        if (u > v)
+            std::swap(u, v);
+        s.cons.push_back({base + u, base + v, lat(rng), wgt(rng)});
+    }
+}
+
+/**
+ * Five shapes, by seed % 5: a diffcon DAG; a rewire-shaped broadcast
+ * graph (weight-0 star edges, one virtual max-node per star paying the
+ * width once); disconnected components, one carrying no weight, plus
+ * isolated nodes; a DAG with parallel constraints of different lower
+ * bounds; and a capacitated graph with 0/1 costs, cycles and small
+ * capacities, whose maximum flows must cancel flow on reverse arcs.
+ * Every shape is feasible.
+ */
+FlowInstance
+randomFlowInstance(unsigned seed)
+{
+    std::mt19937 rng(seed);
+    DiffConShape s;
+    switch (seed % 5) {
+      case 0:
+        s.n = 8 + int(rng() % 40);
+        addDagCons(s, rng, 0, s.n, 3 * s.n, 8);
+        return s.flow();
+      case 1: {
+        const int n = 16 + int(rng() % 24);
+        return rewireShape(rng, n, 2 * n).flow();
+      }
+      case 2: {
+        const int parts = 2 + int(rng() % 3);
+        for (int p = 0; p < parts; p++) {
+            const int n = 4 + int(rng() % 12);
+            addDagCons(s, rng, s.n, n, 2 * n, p == 0 ? 0 : 6);
+            s.n += n + int(rng() % 3); // Trailing isolated nodes.
+        }
+        return s.flow();
+      }
+      case 3: {
+        s.n = 6 + int(rng() % 20);
+        addDagCons(s, rng, 0, s.n, 2 * s.n, 5);
+        std::uniform_int_distribution<Int> lat(-2, 4), wgt(0, 5);
+        const size_t base = s.cons.size();
+        for (size_t k = 0; k < base; k++)
+            for (unsigned r = rng() % 3; r > 0; r--)
+                s.cons.push_back({s.cons[k].u, s.cons[k].v, lat(rng),
+                                  wgt(rng)});
+        return s.flow();
+      }
+      default: {
+        FlowInstance fi;
+        fi.n = 6 + int(rng() % 14);
+        std::uniform_int_distribution<int> node(0, fi.n - 1);
+        std::uniform_int_distribution<Int> cap(1, 2), cost(0, 1);
+        for (int k = 0; k < 4 * fi.n; k++) {
+            int u = node(rng), v = node(rng);
+            if (u != v)
+                fi.arcs.push_back({u, v, cap(rng), cost(rng)});
+        }
+        // A dearer ring keeps every instance feasible.
+        for (int v = 0; v < fi.n; v++)
+            fi.arcs.push_back({v, (v + 1) % fi.n, Int(fi.n), 3});
+        fi.supply.assign(size_t(fi.n), 0);
+        for (int k = 0; k < fi.n; k++) {
+            int u = node(rng), v = node(rng);
+            fi.supply[size_t(u)]++;
+            fi.supply[size_t(v)]--;
+        }
+        return fi;
+      }
+    }
+}
+
+class MinCostFlowSspDual : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(MinCostFlowSspDual, MatchesTextbookSsp)
+{
+    const FlowInstance fi = randomFlowInstance(GetParam());
+    MinCostFlow mcf(fi.n);
+    SspReference ssp(fi.n);
+    std::vector<int> ids;
+    for (const FlowInstance::Arc &a : fi.arcs) {
+        ids.push_back(mcf.addArc(a.u, a.v, a.cap, a.cost));
+        ssp.addArc(a.u, a.v, a.cap, a.cost);
+    }
+    for (int v = 0; v < fi.n; v++) {
+        mcf.setSupply(v, fi.supply[size_t(v)]);
+        ssp.setSupply(v, fi.supply[size_t(v)]);
+    }
+    ASSERT_TRUE(ssp.solve());
+    ASSERT_TRUE(mcf.solve());
+    EXPECT_EQ(mcf.totalCost(), ssp.totalCost());
+    for (int v = 0; v < fi.n; v++)
+        EXPECT_EQ(mcf.potential(v), ssp.potential(v)) << "node " << v;
+
+    std::vector<Int> net(size_t(fi.n), 0);
+    Int cost = 0;
+    for (size_t k = 0; k < fi.arcs.size(); k++) {
+        const FlowInstance::Arc &a = fi.arcs[k];
+        const Int f = mcf.flowOn(ids[k]);
+        EXPECT_GE(f, 0);
+        EXPECT_LE(f, a.cap);
+        net[size_t(a.u)] += f;
+        net[size_t(a.v)] -= f;
+        cost += f * a.cost;
+    }
+    EXPECT_EQ(net, fi.supply);
+    EXPECT_EQ(cost, mcf.totalCost());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MinCostFlowSspDual,
+                         ::testing::Range(0u, 250u));
 
 TEST(BoolIlp, SetCover)
 {

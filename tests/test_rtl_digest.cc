@@ -10,8 +10,13 @@
  * register-bit total does not move.
  *
  * Designs: the eleven Fig. 10 designs (8x8), a fused three-config
- * GEMM (ij broadcast, kj broadcast, ik systolic) at p = 2 and p = 4,
- * and a 16x16 GEMM-IJ.
+ * GEMM (ij broadcast, kj broadcast, ik systolic) at p = 2, 4 and 8,
+ * and GEMM-IJ at 16x16 and 32x32.
+ *
+ * kRegAreaGolden pins the register area of the two intermediate
+ * delay-matched copies (BackendReport::baseline, after delay matching
+ * alone, and ::afterReduce), whose placements the emitted RTL does
+ * not show.
  *
  * Regenerating: run test_rtl_digest; every mismatch prints the
  * actual row in the table's format, ready to paste into kGolden.
@@ -59,7 +64,9 @@ const Golden kGolden[] = {
     {"MTTKRP-MJ", 4319, 0x9db8052de9e1b03eull},
     {"GEMM-3cfg-p2", 63, 0xfd0348c134d79043ull},
     {"GEMM-3cfg-p4", 796, 0xa42b356c61f63159ull},
+    {"GEMM-3cfg-p8", 4916, 0x621d5b5099322c1cull},
     {"GEMM-IJ-16x16", 11667, 0xcd9f922b3d5ef3d6ull},
+    {"GEMM-IJ-32x32", 77917, 0xaaad10fa5f73053dull},
 };
 // clang-format on
 
@@ -96,7 +103,38 @@ const InterpGolden kInterpGolden[] = {
     {"GEMM-3cfg-p4", 0, 43, 256, 512, 7, 0x2031ab5e37fd1734ull},
     {"GEMM-3cfg-p4", 1, 43, 640, 128, 7, 0x2031ab5e37fd1734ull},
     {"GEMM-3cfg-p4", 2, 53, 640, 128, 11, 0x2031ab5e37fd1734ull},
+    {"GEMM-3cfg-p8", 0, 26, 128, 512, 14, 0x2031ab5e37fd1734ull},
+    {"GEMM-3cfg-p8", 1, 26, 576, 64, 14, 0x2031ab5e37fd1734ull},
+    {"GEMM-3cfg-p8", 2, 50, 576, 64, 24, 0x2031ab5e37fd1734ull},
     {"GEMM-IJ-16x16", 0, 141, 4096, 32768, 9, 0x1fb40883f0f76598ull},
+    {"GEMM-IJ-32x32", 0, 147, 8192, 131072, 15, 0x77d6963d91bd82ecull},
+};
+// clang-format on
+
+struct RegAreaGolden
+{
+    const char *name;
+    double baseline, afterReduce; //!< BackendReport ...::regArea.
+};
+
+// clang-format off
+const RegAreaGolden kRegAreaGolden[] = {
+    {"Attention", 3942.4000000000015, 3942.4000000000015},
+    {"Conv2d-ICOC", 2670.7999999999984, 1205.6000000000006},
+    {"Conv2d-MNICOC", 11066, 7257.7999999999902},
+    {"Conv2d-OHOW", 6571.3999999999978, 6571.3999999999978},
+    {"GEMM-IJ", 5343.8000000000029, 5343.8000000000029},
+    {"GEMM-IK", 2736.7999999999997, 1271.6000000000013},
+    {"GEMM-KJ", 14361.600000000008, 14361.600000000008},
+    {"GEMM-MJ", 12038.399999999987, 7713.1999999999971},
+    {"MTTKRP-IJ", 5922.4000000000015, 5922.4000000000015},
+    {"MTTKRP-KJ", 6762.7999999999993, 3647.5999999999981},
+    {"MTTKRP-MJ", 14709.200000000013, 9618.3999999999705},
+    {"GEMM-3cfg-p2", 325.60000000000002, 325.60000000000002},
+    {"GEMM-3cfg-p4", 3467.1999999999975, 3442.9999999999964},
+    {"GEMM-3cfg-p8", 23038.400000000063, 21060.60000000006},
+    {"GEMM-IJ-16x16", 25904.999999999967, 25904.999999999967},
+    {"GEMM-IJ-32x32", 172209.40000000055, 172209.40000000055},
 };
 // clang-format on
 
@@ -141,12 +179,15 @@ digestDesigns()
     std::vector<NamedDesign> out = fig10Designs();
     out.push_back(fusedGemm3(2));
     out.push_back(fusedGemm3(4));
-    NamedDesign big;
-    big.name = "GEMM-IJ-16x16";
-    Workload w = makeGemm(32, 32, 32);
-    addConfig(big, w,
-              makeSimpleSpec(w, "ij", {{"i", 16}, {"j", 16}}, false));
-    out.push_back(std::move(big));
+    out.push_back(fusedGemm3(8));
+    for (Int p : {16, 32}) {
+        NamedDesign big;
+        big.name = "GEMM-IJ-" + std::to_string(p) + "x" + std::to_string(p);
+        Workload w = makeGemm(2 * p, 2 * p, 32);
+        addConfig(big, w,
+                  makeSimpleSpec(w, "ij", {{"i", p}, {"j", p}}, false));
+        out.push_back(std::move(big));
+    }
     return out;
 }
 
@@ -159,7 +200,7 @@ struct BuiltDesign
     BackendReport rep;
 };
 
-/** The fourteen designs, built once and shared by both tests. */
+/** The sixteen designs, built once and shared by every test. */
 const std::vector<BuiltDesign> &
 builtDesigns()
 {
@@ -193,6 +234,24 @@ TEST(RtlDigest, MatchesGolden)
         EXPECT_EQ(b.rep.matchStats.insertedRegBits,
                   kGolden[i].insertedRegBits) << row;
         EXPECT_EQ(digest, kGolden[i].digest) << row;
+    }
+}
+
+TEST(RtlDigest, RegAreaMatchesGolden)
+{
+    const std::vector<BuiltDesign> &designs = builtDesigns();
+    ASSERT_EQ(designs.size(), std::size(kRegAreaGolden));
+    for (size_t i = 0; i < designs.size(); i++) {
+        const BuiltDesign &b = designs[i];
+        char row[160];
+        std::snprintf(row, sizeof(row), "{\"%s\", %.17g, %.17g},",
+                      b.design.name.c_str(), b.rep.baseline.regArea,
+                      b.rep.afterReduce.regArea);
+        EXPECT_EQ(b.design.name, kRegAreaGolden[i].name) << row;
+        EXPECT_EQ(b.rep.baseline.regArea, kRegAreaGolden[i].baseline)
+            << row;
+        EXPECT_EQ(b.rep.afterReduce.regArea,
+                  kRegAreaGolden[i].afterReduce) << row;
     }
 }
 
